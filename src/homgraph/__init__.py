@@ -42,7 +42,7 @@ from .model import (
     SensitiveApiCatalog,
     load_catalog,
     load_graph,
-    match_sensitive,
+    matching_entries,
     normalize,
     parse_graph,
     serialize_graph,
@@ -84,7 +84,7 @@ __all__ = [
     "load_catalog",
     "load_graph",
     "malicious_part",
-    "match_sensitive",
+    "matching_entries",
     "metrics",
     "modularity",
     "normalize",

@@ -230,8 +230,8 @@ def threshold_sweep(
     """Rerun partition -> featurize -> cross-validation per threshold.
 
     Community detection runs once per graph and is shared by all
-    thresholds. A graph that fails any stage is logged with its id and
-    excluded, never fatal.
+    thresholds. A graph with invalid input at any stage is logged with its
+    id and excluded; any other error is a fault and propagates.
     """
     detected: list[tuple[CallGraph, community.CommunityPartition]] = []
     for graph in graphs:
@@ -239,7 +239,7 @@ def threshold_sweep(
             if graph.ground_truth is None:
                 raise DatasetError(f"graph {graph.app_id!r} has no ground-truth label")
             detected.append((graph, community.detect(graph, algorithm, seed)))
-        except Exception as exc:
+        except InputError as exc:
             logger.warning("skipping graph %r: %s", graph.app_id, exc)
 
     rows: list[SweepRow] = []
@@ -250,7 +250,7 @@ def threshold_sweep(
                 samples.append(
                     graph_features(graph, catalog, partition, threshold, denominator)
                 )
-            except Exception as exc:
+            except InputError as exc:
                 logger.warning(
                     "skipping graph %r at threshold %s: %s", graph.app_id, threshold, exc
                 )

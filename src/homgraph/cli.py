@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -59,7 +61,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    if args.threshold <= 0:
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise InputError(f"--threshold must be positive, got {args.threshold}")
     if args.hops < 0:
         raise InputError(f"--hops must be non-negative, got {args.hops}")
@@ -79,13 +81,19 @@ def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     )
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write_text(Path(out), text)
 
 
 def _json_text(payload) -> str:
@@ -170,11 +178,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     catalog = pipeline.PipelineConfig(catalog_path=args.catalog).catalog()
     corpus = generate.generate_corpus(spec, args.benign, args.covert, catalog)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"spec": asdict(spec), "catalog": catalog.source, "graphs": []}
     for graph, truth in corpus:
         file_name = f"{graph.app_id}.json"
-        (out_dir / file_name).write_text(serialize_graph(graph), encoding="utf-8")
+        _write_text(out_dir / file_name, serialize_graph(graph))
         manifest["graphs"].append(
             {
                 "app_id": truth.app_id,
@@ -185,7 +192,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 "planted_coupling": truth.planted_coupling,
             }
         )
-    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    _write_text(out_dir / "manifest.json", _json_text(manifest))
     print(f"wrote {len(corpus)} graphs + manifest to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -238,22 +245,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_features_csv(out_dir / "features.csv", analyses, catalog)
+    _write_text(out_dir / "features.csv", _features_csv(analyses, catalog))
     reports = [pipeline.partition_report(a) for a in analyses]
-    (out_dir / "partitions.json").write_text(_json_text(reports), encoding="utf-8")
+    _write_text(out_dir / "partitions.json", _json_text(reports))
     print(f"analyzed {len(analyses)} graphs into {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
-def _write_features_csv(path: Path, analyses, catalog) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["app_id", "label", *feature_names(catalog)])
-        for a in analyses:
-            label = a.graph.ground_truth or ""
-            vector = a.features.as_array()
-            writer.writerow([a.graph.app_id, label, *(repr(float(x)) for x in vector)])
+def _features_csv(analyses, catalog) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["app_id", "label", *feature_names(catalog)])
+    for a in analyses:
+        label = a.graph.ground_truth or ""
+        vector = a.features.as_array()
+        writer.writerow([a.graph.app_id, label, *(repr(float(x)) for x in vector)])
+    return buffer.getvalue()
 
 
 def read_features_csv(path: str | Path) -> list[LabeledSample]:
@@ -275,9 +282,19 @@ def read_features_csv(path: str | Path) -> list[LabeledSample]:
             if not label:
                 logger.warning("%s:%d: unlabeled sample %r excluded", path, line_no, app_id)
                 continue
-            vector = np.array([float(v) for v in values], dtype=np.float64)
+            vector = np.array([_finite(v, path, line_no, c) for v, c in zip(values, header[2:])])
             samples.append(LabeledSample(app_id, label, vector))
     return samples
+
+
+def _finite(text: str, path: Path, line_no: int, column: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{line_no}: column {column}: {text!r} is not a finite number")
+    return value
 
 
 def _metrics_dict(report: classify.MetricsReport) -> dict:
@@ -358,6 +375,9 @@ def _parse_thresholds(raw: str) -> list[float]:
         raise InputError(f"bad --sweep list {raw!r}: {exc}") from exc
     if not values:
         raise InputError("--sweep list is empty")
+    for value in values:
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"--sweep thresholds must be finite and positive, got {value}")
     return values
 
 

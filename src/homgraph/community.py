@@ -146,7 +146,8 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     while True:
         comm = _local_moving(adj, self_loop, total_w, rng)
         q = _weighted_q(adj, self_loop, comm, total_w)
-        assert q >= prev_q - 1e-9, "local moving must not decrease modularity"
+        if not q >= prev_q - 1e-9:
+            raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
         q_trace.append(q)
         if q - prev_q <= Q_IMPROVEMENT_TOL:
             for i in range(n):
@@ -159,7 +160,8 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
 
     final = {nid: membership[index[nid]] for nid in node_ids}
     part = _dense_partition(graph, final, tuple(q_trace))
-    assert abs(part.modularity_q - q_trace[-1]) < 1e-9
+    if not abs(part.modularity_q - q_trace[-1]) < 1e-9:
+        raise RuntimeError(f"final Q {part.modularity_q} is not the last pass's {q_trace[-1]}")
     return part
 
 

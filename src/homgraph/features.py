@@ -91,6 +91,12 @@ class FeatureVector:
         return np.concatenate([self.presence, self.ratios])
 
 
+def _catalog_hits(graph: CallGraph, catalog: SensitiveApiCatalog) -> dict[int, tuple[int, ...]]:
+    """Catalog entries matched by each node of ``graph`` that matches any."""
+    hits = {n.id: matching_entries(n.name, catalog) for n in graph.nodes}
+    return {nid: found for nid, found in hits.items() if found}
+
+
 def triad_census(
     subgraph: CallGraph, catalog: SensitiveApiCatalog | None = None
 ) -> TriadCensus:
@@ -99,18 +105,16 @@ def triad_census(
     ``catalog`` drives the per-API sensitive counts; without it only the
     type totals are populated.
     """
+    return _census(subgraph, _catalog_hits(subgraph, catalog) if catalog is not None else {})
+
+
+def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> TriadCensus:
+    """:func:`triad_census` from each node's catalog hits."""
     nodes = [n.id for n in subgraph.nodes]
     n = len(nodes)
     succ = subgraph.out_neighbors
     pred = subgraph.in_neighbors
     position = {nid: i for i, nid in enumerate(nodes)}
-
-    api_matches: dict[int, tuple[int, ...]] = {}
-    if catalog is not None:
-        for node in subgraph.nodes:
-            hits = matching_entries(node.name, catalog)
-            if hits:
-                api_matches[node.id] = hits
 
     totals = {name: 0 for name in TRIAD_NAMES}
     sensitive: dict[tuple[int, str], int] = {}
@@ -173,10 +177,13 @@ def presence_features(
     subgraph: CallGraph, catalog: SensitiveApiCatalog
 ) -> np.ndarray:
     """0/1 vector: entry i set when some subgraph node matches catalog entry i."""
+    return _presence(_catalog_hits(subgraph, catalog), catalog)
+
+
+def _presence(api_matches: dict[int, tuple[int, ...]], catalog: SensitiveApiCatalog) -> np.ndarray:
+    """:func:`presence_features` from each node's catalog hits."""
     vec = np.zeros(len(catalog), dtype=np.float64)
-    for node in subgraph.nodes:
-        for idx in matching_entries(node.name, catalog):
-            vec[idx] = 1.0
+    vec[[idx for found in api_matches.values() for idx in found]] = 1.0
     return vec
 
 
@@ -200,12 +207,15 @@ def ratio_features(census: TriadCensus, catalog: SensitiveApiCatalog) -> np.ndar
 
 
 def featurize(outcome: PartitionOutcome, catalog: SensitiveApiCatalog) -> FeatureVector:
-    """Feature vector of a partition outcome's suspicious subgraph."""
+    """Feature vector of a partition outcome's suspicious subgraph.
+
+    Each node is matched against the catalog once, for both blocks.
+    """
     subgraph = outcome.suspicious_subgraph
-    census = triad_census(subgraph, catalog)
+    hits = _catalog_hits(subgraph, catalog)
     return FeatureVector(
-        presence=presence_features(subgraph, catalog),
-        ratios=ratio_features(census, catalog),
+        presence=_presence(hits, catalog),
+        ratios=ratio_features(_census(subgraph, hits), catalog),
     )
 
 

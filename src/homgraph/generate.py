@@ -24,7 +24,7 @@ from .model import (
     InputError,
     SensitiveApiCatalog,
     load_catalog,
-    match_sensitive,
+    matching_entries,
     normalize,
 )
 
@@ -290,7 +290,7 @@ def _generate_graph(
             nodes.append(FunctionNode(id=nid, name=name, sensitive=False))
 
     for node in nodes:
-        if node.sensitive != match_sensitive(node.name, catalog):
+        if node.sensitive != bool(matching_entries(node.name, catalog)):
             raise InfeasibleSpecError(
                 f"catalog entry collides with generated name {node.name!r}"
             )

@@ -12,6 +12,7 @@ to the union of the two parts; edges touching outside nodes are ignored.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -154,19 +155,24 @@ def coupling(
     if outside:
         raise ValueError(f"part nodes not in graph: {sorted(outside)[:5]}")
 
-    e_a = e_b = s = 0
-    for u, v in graph.undirected_edges:
-        u_in_a = u in set_a
-        v_in_a = v in set_a
-        u_in_b = u in set_b
-        v_in_b = v in set_b
-        if u_in_a and v_in_a:
-            e_a += 1
-        elif u_in_b and v_in_b:
-            e_b += 1
-        elif (u_in_a and v_in_b) or (u_in_b and v_in_a):
-            s += 1
+    label = dict.fromkeys(set_a, 0) | dict.fromkeys(set_b, -1)
+    (e_a,), e_b, (s,) = _edge_counts(graph, label, 1)
     return coupling_from_counts(len(set_a), len(set_b), e_a, e_b, s, denominator)
+
+
+def _edge_counts(
+    graph: CallGraph, label: dict[int, int], groups: int
+) -> tuple[list[int], int, list[int]]:
+    """Coupling counts of every group against part -1, in one edge scan.
+
+    ``label`` maps each node to its group index or to -1. Returns per-group
+    ``e_a`` and ``s`` lists and the shared ``e_b``. Edges joining two
+    groups, or touching an unlabelled node, are ignored.
+    """
+    pairs = Counter((label.get(u), label.get(v)) for u, v in graph.undirected_edges)
+    e_a = [pairs[k, k] for k in range(groups)]
+    s = [pairs[k, -1] + pairs[-1, k] for k in range(groups)]
+    return e_a, pairs[-1, -1], s
 
 
 def partition_suspicious(
@@ -180,9 +186,10 @@ def partition_suspicious(
     Communities without sensitive nodes merge into the benign community.
     Each sensitive community is coupled against the benign community alone
     (edges between two sensitive communities do not enter either pair's
-    counts). Coupling strictly above ``threshold`` filters the community as
-    benign; at or below it stays suspicious. With no benign community every
-    sensitive community is suspicious and its coupling is recorded as 0.
+    counts); one edge scan counts every pair. Coupling strictly above
+    ``threshold`` filters the community as benign; at or below it stays
+    suspicious. With no benign community every sensitive community is
+    suspicious and its coupling is recorded as 0.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -193,17 +200,23 @@ def partition_suspicious(
     sensitive_ids = graph.sensitive_ids
     benign: set[int] = set()
     sensitive_groups: list[frozenset[int]] = []
+    label: dict[int, int] = {}
     for members in partition.communities():
         if members & sensitive_ids:
+            label.update(dict.fromkeys(members, len(sensitive_groups)))
             sensitive_groups.append(members)
         else:
             benign.update(members)
+    label.update(dict.fromkeys(benign, -1))
+    e_a, e_b, s = _edge_counts(graph, label, len(sensitive_groups))
 
     communities: list[SensitiveCommunity] = []
     suspicious_union: set[int] = set()
-    for members in sensitive_groups:
+    for k, members in enumerate(sensitive_groups):
         if benign:
-            report = coupling(graph, members, benign, denominator)
+            report = coupling_from_counts(
+                len(members), len(benign), e_a[k], e_b, s[k], denominator
+            )
         else:
             report = CouplingReport(len(members), 0, 0, 0, 0, 0.0, denominator)
         verdict = FILTERED_BENIGN if report.c > threshold else SUSPICIOUS

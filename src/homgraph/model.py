@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 BENIGN = "benign"
@@ -147,30 +148,33 @@ class SensitiveApiCatalog:
     def __len__(self) -> int:
         return len(self.entries)
 
-
-def canonical_name(name: str) -> str:
-    """Canonical form used for catalog matching: surrounding whitespace trimmed."""
-    return name.strip()
-
-
-def match_sensitive(node_name: str, catalog: SensitiveApiCatalog) -> bool:
-    """Whether any catalog entry occurs inside the canonicalized node name.
-
-    Substring matching tolerates descriptor suffixes emitted by call-graph
-    extractors (``...getDeviceId()V`` still matches ``...getDeviceId``).
-    """
-    name = canonical_name(node_name)
-    if not name:
-        return False
-    return any(entry in name for entry in catalog.entries)
+    @cached_property
+    def tail_index(self) -> tuple[int, dict[str, list[tuple[int, str]]]]:
+        """``(width, entries keyed by their last width characters)``, where
+        ``width`` is the shortest entry length, so that matching probes one
+        key per name position instead of testing every entry."""
+        width = min(map(len, self.entries))
+        by_tail: dict[str, list[tuple[int, str]]] = {}
+        for i, entry in enumerate(self.entries):
+            by_tail.setdefault(entry[-width:], []).append((i, entry))
+        return width, by_tail
 
 
 def matching_entries(node_name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...]:
-    """Indices of all catalog entries contained in the canonicalized name."""
-    name = canonical_name(node_name)
-    if not name:
-        return ()
-    return tuple(i for i, entry in enumerate(catalog.entries) if entry in name)
+    """Indices of all catalog entries occurring inside the whitespace-trimmed name.
+
+    Substring matching tolerates descriptor suffixes emitted by call-graph
+    extractors (``...getDeviceId()V`` still matches ``...getDeviceId``). A
+    node is sensitive exactly when this is non-empty.
+    """
+    name = node_name.strip()
+    width, by_tail = catalog.tail_index
+    hits: set[int] = set()
+    for end in range(width, len(name) + 1):
+        for i, entry in by_tail.get(name[end - width:end], ()):
+            if name.endswith(entry, 0, end):
+                hits.add(i)
+    return tuple(sorted(hits))
 
 
 def load_catalog(path: str | Path | None = None) -> SensitiveApiCatalog:
@@ -199,8 +203,6 @@ def parse_catalog(text: str, source: str = "<memory>") -> SensitiveApiCatalog:
         if line in entries:
             raise CatalogError(f"{source}:{lineno}: duplicate catalog entry {line!r}")
         entries.append(line)
-    if not entries:
-        raise CatalogError(f"catalog {source!r} has no entries")
     return SensitiveApiCatalog(entries=tuple(entries), source=source)
 
 
@@ -224,7 +226,7 @@ def normalize(graph: CallGraph) -> CallGraph:
 def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
     """Recompute every node's sensitivity flag from ``catalog``."""
     nodes = tuple(
-        replace(n, sensitive=match_sensitive(n.name, catalog)) for n in graph.nodes
+        replace(n, sensitive=bool(matching_entries(n.name, catalog))) for n in graph.nodes
     )
     return replace(graph, nodes=nodes)
 
@@ -243,10 +245,11 @@ def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
 def parse_graph(
     data: str | bytes, catalog: SensitiveApiCatalog | None = None, source: str = "<memory>"
 ) -> CallGraph:
-    """Parse and normalize one wire-format document.
+    """Parse one wire-format document into its normalized graph.
 
     When ``catalog`` is given, sensitivity flags are recomputed from it;
-    otherwise flags pre-set in the document are kept.
+    otherwise flags pre-set in the document are kept. The result equals
+    :func:`normalize` (then :func:`apply_catalog`) of the document as read.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -267,49 +270,53 @@ def parse_graph(
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GraphFormatError(f"{source}: 'nodes' must be a non-empty array")
+    # Build the normalized graph directly: flag each node from the catalog as
+    # it is made and de-duplicate edges as they are read. JSON decoding gives
+    # exact types, so ``type(x) is int`` takes every integer but no boolean.
     nodes: list[FunctionNode] = []
     seen_ids: set[int] = set()
     for i, rn in enumerate(raw_nodes):
         where = f"{source}: nodes[{i}]"
-        if not isinstance(rn, dict):
+        if type(rn) is not dict:
             raise GraphFormatError(f"{where}: must be an object")
         nid = rn.get("id")
-        if not isinstance(nid, int) or isinstance(nid, bool) or nid < 0:
+        if type(nid) is not int or nid < 0:
             raise GraphFormatError(f"{where}: 'id' must be a non-negative integer")
         if nid in seen_ids:
             raise GraphFormatError(f"{where}: duplicate node id {nid}")
         seen_ids.add(nid)
         name = rn.get("name")
-        if not isinstance(name, str):
+        if type(name) is not str:
             raise GraphFormatError(f"{where}: 'name' must be a string")
         sensitive = rn.get("sensitive", False)
-        if not isinstance(sensitive, bool):
+        if type(sensitive) is not bool:
             raise GraphFormatError(f"{where}: 'sensitive' must be a boolean")
+        if catalog is not None:
+            sensitive = bool(matching_entries(name, catalog))
         nodes.append(FunctionNode(id=nid, name=name, sensitive=sensitive))
+    nodes.sort(key=attrgetter("id"))
 
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphFormatError(f"{source}: 'edges' must be an array")
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for i, re_ in enumerate(raw_edges):
-        where = f"{source}: edges[{i}]"
-        if (
-            not isinstance(re_, (list, tuple))
-            or len(re_) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in re_)
+        if not (
+            type(re_) is list and len(re_) == 2
+            and type(re_[0]) is int and type(re_[1]) is int
         ):
-            raise GraphFormatError(f"{where}: must be an [caller_id, callee_id] int pair")
-        u, v = int(re_[0]), int(re_[1])
+            raise GraphFormatError(
+                f"{source}: edges[{i}]: must be an [caller_id, callee_id] int pair"
+            )
+        u, v = re_
         if u not in seen_ids or v not in seen_ids:
-            raise GraphFormatError(f"{where}: dangling endpoint in ({u}, {v})")
-        edges.append((u, v))
+            raise GraphFormatError(f"{source}: edges[{i}]: dangling endpoint in ({u}, {v})")
+        if u != v:
+            edges.add((u, v))
 
-    graph = normalize(
-        CallGraph(app_id=app_id, nodes=tuple(nodes), edges=tuple(edges), ground_truth=label)
+    return CallGraph(
+        app_id=app_id, nodes=tuple(nodes), edges=tuple(sorted(edges)), ground_truth=label
     )
-    if catalog is not None:
-        graph = apply_catalog(graph, catalog)
-    return graph
 
 
 def serialize_graph(graph: CallGraph) -> str:

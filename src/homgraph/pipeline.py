@@ -2,16 +2,13 @@
 
 One ``PipelineConfig`` carries every tunable; its defaults are the
 best-performing configuration (threshold 3, multilevel detection, 1NN,
-10 folds). Corpus runs fan out over a bounded thread pool capped by the
-``HOMGRAPH_WORKERS`` environment variable and always emit results in
-app_id order, so output never depends on completion order.
+10 folds). Corpus runs analyze graphs one after another, in the calling
+thread, and emit results in app_id order.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,8 +26,6 @@ from .model import (
 )
 
 logger = logging.getLogger(__name__)
-
-WORKERS_ENV = "HOMGRAPH_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -60,19 +55,6 @@ class GraphAnalysis:
     features: FeatureVector
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise InputError(f"{WORKERS_ENV} must be >= 1, got {value}")
-        return value
-    return min(4, os.cpu_count() or 1)
-
-
 def analyze_graph(
     graph: CallGraph, catalog: SensitiveApiCatalog, config: PipelineConfig
 ) -> GraphAnalysis:
@@ -94,21 +76,17 @@ def analyze_corpus(
     catalog: SensitiveApiCatalog,
     config: PipelineConfig,
 ) -> list[GraphAnalysis]:
-    """Analyze many graphs concurrently; results sorted by app_id.
+    """Analyze graphs in order; results sorted by app_id.
 
-    Per-graph failures are logged and skipped so one bad graph cannot sink
-    a corpus run.
+    A graph with invalid input is logged and skipped so one bad graph cannot
+    sink a corpus run; any other error is a fault and propagates.
     """
     results: list[GraphAnalysis] = []
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = {
-            pool.submit(analyze_graph, g, catalog, config): g.app_id for g in graphs
-        }
-        for future, app_id in futures.items():
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                logger.warning("skipping graph %r: %s", app_id, exc)
+    for graph in graphs:
+        try:
+            results.append(analyze_graph(graph, catalog, config))
+        except InputError as exc:
+            logger.warning("skipping graph %r: %s", graph.app_id, exc)
     results.sort(key=lambda a: a.graph.app_id)
     return results
 

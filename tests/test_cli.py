@@ -1,14 +1,16 @@
 import json
+import multiprocessing
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import homgraph
+from homgraph import classify, community, pipeline
 from homgraph.cli import main, read_features_csv
-from homgraph.model import InputError, serialize_graph
-from homgraph.pipeline import worker_count
+from homgraph.model import load_catalog, serialize_graph
 
 from conftest import make_graph
 
@@ -309,19 +311,124 @@ class TestAlgorithmFlag:
                    "--out", str(tmp_path / "x")) == 1
 
 
-class TestWorkerPool:
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("HOMGRAPH_WORKERS", "2")
-        assert worker_count() == 2
+def break_one_graph(monkeypatch, corpus):
+    """Make community detection raise KeyError, an internal fault, on one graph."""
+    target = min(p.stem for p in corpus.glob("*.json") if p.name != "manifest.json")
+    real = community.detect
 
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("HOMGRAPH_WORKERS", raising=False)
-        assert worker_count() >= 1
+    def detect(graph, algorithm, seed=0):
+        if graph.app_id == target:
+            raise KeyError("synthetic fault")
+        return real(graph, algorithm, seed)
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("HOMGRAPH_WORKERS", "many")
-        with pytest.raises(InputError):
-            worker_count()
-        monkeypatch.setenv("HOMGRAPH_WORKERS", "0")
-        with pytest.raises(InputError):
-            worker_count()
+    monkeypatch.setattr(community, "detect", detect)
+
+
+class TestInternalErrorsNotDropped:
+    def test_analyze_exit_3(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(tmp_path)
+        break_one_graph(monkeypatch, corpus)
+        out = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(out)) == 3
+        assert not (out / "features.csv").exists()
+
+    def test_eval_sweep_exit_3(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(tmp_path)
+        break_one_graph(monkeypatch, corpus)
+        assert run("eval", str(corpus), "--folds", "2", "--sweep", "1,3",
+                   "--out", str(tmp_path / "sweep.json")) == 3
+
+    def test_threshold_sweep_raises(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(tmp_path)
+        graphs = pipeline.load_corpus([corpus])
+        break_one_graph(monkeypatch, corpus)
+        with pytest.raises(KeyError):
+            classify.threshold_sweep(graphs, load_catalog(), [1.0, 3.0], folds=2)
+
+
+class TestFeatureFileValidation:
+    def write_with(self, src, dst, cells):
+        lines = src.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        for line_no, column, text in cells:
+            row = lines[line_no - 1].rstrip("\r\n").split(",")
+            row[header.index(column)] = text
+            lines[line_no - 1] = ",".join(row) + "\r\n"
+        dst.write_text("".join(lines))
+        return dst
+
+    def test_non_finite_values_exit_2(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(analysis)) == 0
+        src = analysis / "features.csv"
+        both = self.write_with(src, tmp_path / "both.csv",
+                               [(2, "presence[0]", "nan"), (3, "ratio[0][021D]", "inf")])
+        capsys.readouterr()
+        assert run("eval", "--features", str(both), "--folds", "2") == 2
+        assert f"{both}:2: column presence[0]: 'nan'" in capsys.readouterr().err
+        only_inf = self.write_with(src, tmp_path / "inf.csv", [(3, "ratio[0][021D]", "-inf")])
+        assert run("eval", "--features", str(only_inf), "--folds", "2") == 2
+        assert f"{only_inf}:3: column ratio[0][021D]: '-inf'" in capsys.readouterr().err
+
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(analysis)) == 0
+        bad = self.write_with(analysis / "features.csv", tmp_path / "bad.csv",
+                              [(4, "presence[1]", "yes")])
+        capsys.readouterr()
+        assert run("eval", "--features", str(bad), "--folds", "2") == 2
+        assert f"{bad}:4: column presence[1]" in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    def test_partition_out_is_directory(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        graph = next(p for p in sorted(corpus.iterdir()) if p.name.startswith("benign"))
+        target = tmp_path / "a_dir"
+        target.mkdir()
+        capsys.readouterr()
+        assert run("partition", str(graph), "--out", str(target)) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+
+    def test_analyze_out_is_file(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        target = tmp_path / "a_file"
+        target.write_text("keep")
+        capsys.readouterr()
+        assert run("analyze", str(corpus), "--out", str(target)) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        assert target.read_text() == "keep"
+
+    def test_gen_out_is_file(self, tmp_path):
+        target = tmp_path / "a_file"
+        target.write_text("keep")
+        assert run("gen", "--benign", "1", "--out", str(target)) == 2
+
+
+class TestNoConcurrency:
+    def test_analyze_starts_no_thread_or_process(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(tmp_path)
+        started = []
+        thread_start = threading.Thread.start
+        process_start = multiprocessing.process.BaseProcess.start
+
+        def record_thread(self, *args, **kwargs):
+            started.append(self)
+            return thread_start(self, *args, **kwargs)
+
+        def record_process(self, *args, **kwargs):
+            started.append(self)
+            return process_start(self, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", record_thread)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_process)
+        threads = threading.active_count()
+        children = multiprocessing.active_children()
+        assert run("analyze", str(corpus), "--out", str(tmp_path / "a")) == 0
+        assert started == []
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homgraph import generate
+from homgraph import community, generate
 from homgraph.community import (
     AlgorithmComparison,
     CommunityPartition,
@@ -113,6 +113,16 @@ class TestMultilevel:
                 assert part.modularity_q == pytest.approx(
                     modularity(g, part), abs=1e-9
                 )
+
+    def test_decreasing_local_move_is_internal_error(self, monkeypatch):
+        # A path split into alternating communities has no internal edge, so
+        # its Q is below the singletons' Q; the check must survive python -O.
+        def alternate(adj, self_loop, total_w, rng):
+            return [i % 2 for i in range(len(adj))]
+
+        monkeypatch.setattr(community, "_local_moving", alternate)
+        with pytest.raises(RuntimeError, match="decreased modularity"):
+            detect_multilevel(make_graph(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_community_ids_dense_from_zero(self):
         part = detect_multilevel(barbell(), seed=3)

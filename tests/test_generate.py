@@ -3,7 +3,7 @@ import pytest
 from homgraph.community import detect_multilevel
 from homgraph.generate import InfeasibleSpecError, SyntheticSpec, generate_corpus
 from homgraph.homophily import FILTERED_BENIGN, SUSPICIOUS, coupling, partition_suspicious
-from homgraph.model import BENIGN, MALWARE, load_catalog, match_sensitive, serialize_graph
+from homgraph.model import BENIGN, MALWARE, load_catalog, matching_entries, serialize_graph
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ class TestGenerateCorpus:
             assert planted_sensitive, "planted community must hold sensitive nodes"
             assert graph.sensitive_ids <= truth.planted_nodes
             for node in graph.nodes:
-                assert node.sensitive == match_sensitive(node.name, catalog)
+                assert node.sensitive == bool(matching_entries(node.name, catalog))
 
     def test_sensitive_names_follow_api_indices(self, small_corpus, catalog):
         for graph, truth in small_corpus:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from homgraph.community import CommunityPartition
+from homgraph.features import SELECTED_TRIADS, featurize
 from homgraph.homophily import (
     DENOMINATOR_INTERNAL,
+    DENOMINATORS,
     FILTERED_BENIGN,
     SUSPICIOUS,
     CovertnessError,
@@ -17,8 +19,10 @@ from homgraph.homophily import (
     proportion_category,
 )
 
+from homgraph.model import SensitiveApiCatalog, apply_catalog
+
 from conftest import make_graph, random_digraph
-from oracles import brute_coupling, brute_reverse_reach
+from oracles import brute_census, brute_coupling, brute_reverse_reach
 
 
 def classroom_graph():
@@ -234,6 +238,112 @@ class TestPartitionSuspicious:
         g, partition, _ = seven_community_graph()
         with pytest.raises(ValueError):
             partition_suspicious(g, partition, threshold=0.0)
+
+
+# Entries of different lengths, some inside others, so one name can hit several.
+SCATTER_CATALOG = SensitiveApiCatalog(entries=(
+    "api.Net.send", "api.Net.sendAll", "api.Loc.get", "api.Tel.id",
+    "cam.open", "api.Loc.getLast", "Sms.send",
+))
+
+
+def scattered_case(seed, benign_communities=8):
+    """Graph and partition with 55+ sensitive communities, mostly one or two nodes.
+
+    Benign communities hold ten nodes each. Random directed edges run
+    everywhere, including between sensitive communities, except to the
+    isolated nodes, which form their own (benign and sensitive) communities.
+    """
+    rng = random.Random(seed)
+    groups = [[False] * 10 for _ in range(benign_communities)]
+    groups += [[True] * rng.choice((1, 1, 2)) for _ in range(55)]
+    isolated = [[True]] * 3 + ([[False]] * 3 if benign_communities else [])
+    names, assignment, live = {}, {}, []
+    nid = 0
+    for comm, group in enumerate(groups + isolated):
+        for is_sensitive in group:
+            if is_sensitive:
+                entry = rng.choice(SCATTER_CATALOG.entries)
+                names[nid] = rng.choice((f"{entry}()", f"lib.{entry}()V", f"x.{entry}"))
+            else:
+                names[nid] = f"com.app.C{nid}.f{nid}"
+            assignment[nid] = comm
+            if comm < len(groups):
+                live.append(nid)
+            nid += 1
+    edges = [(u, v) for u in live for v in live if u != v and rng.random() < 0.04]
+    graph = apply_catalog(make_graph(nid, edges, names=names), SCATTER_CATALOG)
+    return graph, CommunityPartition(assignment, len(groups) + len(isolated), 0.0)
+
+
+def expected_features(subgraph, catalog):
+    """Presence and ratio blocks rebuilt from the brute-force census."""
+    presence = [
+        float(any(entry in n.name.strip() for n in subgraph.nodes))
+        for entry in catalog.entries
+    ]
+    totals, _, sensitive = brute_census(subgraph, catalog)
+    ratios = []
+    for api in range(len(catalog)):
+        for name in SELECTED_TRIADS:
+            count = sensitive.get((api, name), 0)
+            ratios.append(count / totals[name] if totals[name] else 0.0)
+    return presence, ratios
+
+
+class TestOnePassPartition:
+    """partition_suspicious couples all communities in one edge scan; check
+    every report against the per-pair oracle on scattered sensitive code."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("denominator", DENOMINATORS)
+    def test_every_coupling_matches_oracle(self, seed, denominator):
+        graph, partition = scattered_case(seed)
+        outcome = partition_suspicious(graph, partition, 1.0, denominator)
+        communities = outcome.sensitive_communities
+        assert len(communities) >= 50
+        label = {n: k for k, sc in enumerate(communities) for n in sc.nodes}
+        assert any(
+            u in label and v in label and label[u] != label[v] for u, v in graph.edges
+        ), "the case must hold edges between sensitive communities"
+        assert any(not graph.undirected_neighbors[n] for n in outcome.benign_nodes)
+        assert any(not graph.undirected_neighbors[n] for n in label)
+        suspicious = set()
+        for sc in communities:
+            e_a, e_b, s, c = brute_coupling(graph, sc.nodes, outcome.benign_nodes,
+                                            denominator)
+            report = sc.coupling
+            assert (report.n_a, report.n_b) == (len(sc.nodes), len(outcome.benign_nodes))
+            assert (report.e_a, report.e_b, report.s) == (e_a, e_b, s)
+            assert report.c == pytest.approx(float(c), rel=1e-12, abs=1e-12)
+            assert report == coupling(graph, sc.nodes, outcome.benign_nodes, denominator)
+            assert sc.verdict == (FILTERED_BENIGN if report.c > 1.0 else SUSPICIOUS)
+            if sc.verdict == SUSPICIOUS:
+                suspicious |= sc.nodes
+        assert outcome.suspicious_subgraph.node_ids == suspicious
+        assert 0 < len(suspicious) < len(label)
+
+    def test_no_benign_part(self):
+        graph, partition = scattered_case(5, benign_communities=0)
+        outcome = partition_suspicious(graph, partition, 3.0)
+        assert not outcome.benign_nodes
+        assert len(outcome.sensitive_communities) >= 50
+        for sc in outcome.sensitive_communities:
+            assert brute_coupling(graph, sc.nodes, ())[3] == 0
+            assert sc.coupling.c == 0.0 and sc.coupling.n_b == 0
+            assert sc.verdict == SUSPICIOUS
+        assert outcome.suspicious_subgraph.node_ids == graph.node_ids
+
+    @pytest.mark.parametrize("seed,benign", [(3, 8), (17, 8), (5, 0)])
+    def test_featurize_matches_brute_census(self, seed, benign):
+        graph, partition = scattered_case(seed, benign_communities=benign)
+        outcome = partition_suspicious(graph, partition, 1.0)
+        subgraph = outcome.suspicious_subgraph
+        assert subgraph.sensitive_ids
+        presence, ratios = expected_features(subgraph, SCATTER_CATALOG)
+        vector = featurize(outcome, SCATTER_CATALOG)
+        assert vector.presence.tolist() == presence
+        assert vector.ratios.tolist() == pytest.approx(ratios, abs=1e-12)
 
 
 class TestMaliciousPart:

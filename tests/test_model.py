@@ -12,7 +12,7 @@ from homgraph.model import (
     apply_catalog,
     induced_subgraph,
     load_catalog,
-    match_sensitive,
+    matching_entries,
     normalize,
     parse_catalog,
     parse_graph,
@@ -96,6 +96,38 @@ class TestParse:
             again = parse_graph(serialize_graph(g))
             assert again == g
 
+    @pytest.mark.parametrize("bad", [[0, True], [0, 1.0], [0, 1, 1], [0], "01", {"0": 1}])
+    def test_malformed_edge_reports_location(self, bad):
+        with pytest.raises(GraphFormatError, match=r"edges\[1\]: must be an \[caller_id"):
+            parse_graph(doc(edges=[[0, 1], bad]))
+
+    @pytest.mark.parametrize("bad", [True, -1, 1.0, "1", None])
+    def test_malformed_node_id_reports_location(self, bad):
+        nodes = [{"id": 0, "name": "a"}, {"id": bad, "name": "b"}]
+        with pytest.raises(GraphFormatError, match=r"nodes\[1\]: 'id' must be"):
+            parse_graph(doc(nodes=nodes, edges=[]))
+
+    def test_equals_normalize_then_apply_catalog(self):
+        # parse_graph builds the normalized, catalog-flagged graph in one pass;
+        # it must equal the two-pass form of the same document.
+        rng = random.Random(8)
+        catalog = SensitiveApiCatalog(entries=("api.Net", "Tel.id", "x"))
+        names = ["com.a.B.c", "lib.api.Net.send()", "pkg.Tel.id()V", "q.x", "w"]
+        for _ in range(100):
+            ids = rng.sample(range(500), rng.randint(1, 40))
+            nodes = [{"id": i, "name": rng.choice(names), "sensitive": rng.random() < 0.3}
+                     for i in ids]
+            edges = [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 80))]
+            edges += rng.sample(edges, len(edges) // 3)
+            text = doc(nodes=nodes, edges=edges)
+            as_read = CallGraph(
+                app_id="app",
+                nodes=tuple(FunctionNode(n["id"], n["name"], n["sensitive"]) for n in nodes),
+                edges=tuple(tuple(e) for e in edges),
+            )
+            assert parse_graph(text) == normalize(as_read)
+            assert parse_graph(text, catalog) == apply_catalog(normalize(as_read), catalog)
+
     def test_round_trip_unicode_names(self):
         g = make_graph(2, [(0, 1)], names={0: "pkg.Класс.メソッド", 1: "x.Y.z"})
         assert parse_graph(serialize_graph(g)) == g
@@ -128,16 +160,34 @@ class TestNormalize:
 class TestMatchSensitive:
     def test_descriptor_suffix_matches(self, desk_catalog):
         name = "android.telephony.TelephonyManager.getDeviceId()V"
-        assert match_sensitive(name, desk_catalog)
+        index = desk_catalog.entries.index("android.telephony.TelephonyManager.getDeviceId")
+        assert matching_entries(name, desk_catalog) == (index,)
 
     def test_non_member(self, desk_catalog):
-        assert not match_sensitive("com.example.app.MainActivity.onCreate", desk_catalog)
+        assert matching_entries("com.example.app.MainActivity.onCreate", desk_catalog) == ()
 
     def test_empty_name(self, desk_catalog):
-        assert not match_sensitive("", desk_catalog)
+        assert matching_entries("", desk_catalog) == ()
 
     def test_whitespace_canonicalized(self, desk_catalog):
-        assert match_sensitive("  java.lang.Runtime.exec  ", desk_catalog)
+        assert matching_entries("  java.lang.Runtime.exec  ", desk_catalog)
+
+    def test_every_contained_entry_found(self):
+        # Entries nest and overlap, and one is a single character, so names
+        # hit several entries and are shorter or longer than the shortest one.
+        rng = random.Random(12)
+        alphabet = "ab.()"
+        for _ in range(200):
+            entries = tuple({
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 8))
+            })
+            catalog = SensitiveApiCatalog(entries=entries)
+            for _ in range(20):
+                core = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+                name = rng.choice(("", " ", "\t")) + core + rng.choice(("", "  "))
+                expected = tuple(i for i, e in enumerate(entries) if e in name.strip())
+                assert matching_entries(name, catalog) == expected, (entries, name)
 
 
 class TestCatalog:
