@@ -217,31 +217,22 @@ def graph_features(
 
 
 def threshold_sweep(
-    graphs: Sequence[CallGraph],
+    detected: Sequence[tuple[CallGraph, community.CommunityPartition]],
     catalog: SensitiveApiCatalog,
     thresholds: Sequence[float],
     *,
     k: int = 1,
     folds: int = 10,
     seed: int = 0,
-    algorithm: str = community.MULTILEVEL,
     denominator: str = homophily.DENOMINATOR_TOTAL,
 ) -> tuple[SweepRow, ...]:
     """Rerun partition -> featurize -> cross-validation per threshold.
 
-    Community detection runs once per graph and is shared by all
-    thresholds. A graph with invalid input at any stage is logged with its
-    id and excluded; any other error is a fault and propagates.
+    ``detected`` pairs each graph with its community partition, which all
+    thresholds share. A graph with invalid input at any stage (such as a
+    missing label) is logged with its id and excluded; any other error is a
+    fault and propagates.
     """
-    detected: list[tuple[CallGraph, community.CommunityPartition]] = []
-    for graph in graphs:
-        try:
-            if graph.ground_truth is None:
-                raise DatasetError(f"graph {graph.app_id!r} has no ground-truth label")
-            detected.append((graph, community.detect(graph, algorithm, seed)))
-        except InputError as exc:
-            logger.warning("skipping graph %r: %s", graph.app_id, exc)
-
     rows: list[SweepRow] = []
     for threshold in thresholds:
         samples: list[LabeledSample] = []

@@ -351,13 +351,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.sweep:
             thresholds = _parse_thresholds(args.sweep)
             rows = classify.threshold_sweep(
-                graphs,
+                [(a.graph, a.partition) for a in analyses],
                 catalog,
                 thresholds,
                 k=args.k,
                 folds=args.folds,
                 seed=args.seed,
-                algorithm=args.algo,
                 denominator=args.coupling_denominator,
             )
             payload["sweep"] = [

@@ -118,8 +118,9 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     """Louvain-style two-phase modularity optimization.
 
     Alternates local moving (seed-permuted sweep order, ties to the smallest
-    community id, only strictly improving moves) with graph aggregation
-    until a pass improves Q by at most ``Q_IMPROVEMENT_TOL``.
+    community id, only strictly improving moves, nodes with unchanged inputs
+    skipped) with graph aggregation until a pass improves Q by at most
+    ``Q_IMPROVEMENT_TOL``.
     """
     if graph.node_count == 0:
         return CommunityPartition({}, 0, 0.0)
@@ -171,7 +172,17 @@ def _local_moving(
     total_w: float,
     rng: random.Random,
 ) -> list[int]:
-    """One Louvain local-moving phase; returns the community label per node."""
+    """One Louvain local-moving phase; returns the community label per node.
+
+    Sweeps visit every node in one seeded order until a sweep moves none,
+    but a node is re-evaluated only if the total of its own community or of
+    a neighbour's community has changed since its last evaluation. A move
+    stamps both communities it touches, so a neighbour that moved, or the
+    node itself, is always seen. Otherwise the node would rebuild the same
+    ``weights`` and stay: weights are edge counts, so the totals are
+    integer-valued and staying is an exact no-op. The labels therefore equal
+    those of a full re-evaluation on every sweep.
+    """
     n = len(adj)
     strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
     comm = list(range(n))
@@ -179,13 +190,24 @@ def _local_moving(
     order = list(range(n))
     rng.shuffle(order)
     two_w = 2.0 * total_w
+    clock = 0  # number of moves so far
+    changed = [0] * n  # community -> clock of its last total change
+    seen = [-1] * n  # node -> clock at its last evaluation
 
     moved = True
     while moved:
         moved = False
         for i in order:
-            k_i = strength[i]
+            last = seen[i]
             old = comm[i]
+            if changed[old] <= last:
+                for j in adj[i]:
+                    if changed[comm[j]] > last:
+                        break
+                else:
+                    continue
+            seen[i] = clock
+            k_i = strength[i]
             weights: dict[int, float] = {}
             for j, w in adj[i].items():
                 c = comm[j]
@@ -207,6 +229,8 @@ def _local_moving(
                     best_comm = c
             comm_tot[best_comm] += k_i
             if best_comm != old:
+                clock += 1
+                changed[old] = changed[best_comm] = clock
                 comm[i] = best_comm
                 moved = True
     return comm

@@ -329,7 +329,7 @@ def serialize_graph(graph: CallGraph) -> str:
         for n in sorted(graph.nodes, key=lambda n: n.id)
     ]
     doc["edges"] = [list(e) for e in sorted(graph.edges)]
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def load_graph(path: str | Path, catalog: SensitiveApiCatalog | None = None) -> CallGraph:

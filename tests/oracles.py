@@ -2,13 +2,15 @@
 
 These deliberately avoid the production code paths: triads are classified
 from dyad structure instead of the code table, coupling is recomputed with
-exact fractions over an explicit edge scan, and reachability uses a plain
-BFS. Everything here is O(n^3) or worse and only suitable for test sizes.
+exact fractions over an explicit edge scan, reachability uses a plain BFS,
+and Louvain local moving re-evaluates every node on every sweep. Everything
+here is slow and only suitable for test sizes.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from homgraph.features import SELECTED_TRIADS
@@ -144,3 +146,54 @@ def brute_reverse_reach(graph: CallGraph, sources, hops: int) -> set[int]:
         frontier = {p for node in frontier for p in preds[node]} - reached
         reached |= frontier
     return reached
+
+
+def full_sweep_local_moving(
+    adj: list[dict[int, float]],
+    self_loop: list[float],
+    total_w: float,
+    rng: random.Random,
+) -> list[int]:
+    """Louvain local moving that re-evaluates every node on every sweep.
+
+    The reference for ``community._local_moving``: same seeded order, same
+    gains and tie-breaks, but no skipping of nodes whose inputs are unchanged.
+    """
+    n = len(adj)
+    strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
+    comm = list(range(n))
+    comm_tot = strength[:]
+    order = list(range(n))
+    rng.shuffle(order)
+    two_w = 2.0 * total_w
+
+    moved = True
+    while moved:
+        moved = False
+        for i in order:
+            k_i = strength[i]
+            old = comm[i]
+            weights: dict[int, float] = {}
+            for j, w in adj[i].items():
+                c = comm[j]
+                weights[c] = weights.get(c, 0.0) + w
+            comm_tot[old] -= k_i
+            stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
+            # Moves need a strict improvement over staying; equal-gain
+            # candidate communities tie-break to the smallest id.
+            best_comm = old
+            best_gain = stay_gain
+            for c, w in weights.items():
+                if c == old:
+                    continue
+                gain = w - comm_tot[c] * k_i / two_w
+                if gain > best_gain + 1e-12 or (
+                    best_comm != old and abs(gain - best_gain) <= 1e-12 and c < best_comm
+                ):
+                    best_gain = gain
+                    best_comm = c
+            comm_tot[best_comm] += k_i
+            if best_comm != old:
+                comm[i] = best_comm
+                moved = True
+    return comm

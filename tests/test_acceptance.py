@@ -160,9 +160,10 @@ def test_criterion_6_end_to_end_detection(corpus, analyses, catalog):
            f"FNR={cv.macro.fnr:.4f}, FPR={cv.macro.fpr:.4f}, {elapsed:.0f} s")
 
 
-def test_criterion_7_threshold_sweep_shape(corpus, catalog):
-    graphs = [g for g, _ in corpus]
-    rows = classify.threshold_sweep(graphs, catalog, [1.0, 2.0, 3.0, 4.0, 5.0, 1e9])
+def test_criterion_7_threshold_sweep_shape(analyses, catalog):
+    results, _ = analyses
+    pairs = [(a.graph, a.partition) for a in results]
+    rows = classify.threshold_sweep(pairs, catalog, [1.0, 2.0, 3.0, 4.0, 5.0, 1e9])
     five = [r for r in rows if r.threshold != 1e9]
     f_at_3 = next(r.report.macro.f_measure for r in rows if r.threshold == 3.0)
     f_extreme = next(r.report.macro.f_measure for r in rows if r.threshold == 1e9)

@@ -17,6 +17,8 @@ from homgraph.classify import (
 from homgraph.model import BENIGN, MALWARE, load_catalog
 from homgraph import generate
 
+from conftest import detected
+
 
 def sample(app_id, label, *coords):
     return LabeledSample(app_id, label, np.array(coords, dtype=np.float64))
@@ -169,29 +171,30 @@ def small_corpus():
     catalog = load_catalog()
     spec = generate.SyntheticSpec()
     corpus = generate.generate_corpus(spec, 12, 12, catalog)
-    return [g for g, _ in corpus], catalog
+    return detected([g for g, _ in corpus]), catalog
 
 
 class TestThresholdSweep:
     def test_empty_threshold_list(self, small_corpus):
-        graphs, catalog = small_corpus
-        assert threshold_sweep(graphs, catalog, []) == ()
+        pairs, catalog = small_corpus
+        assert threshold_sweep(pairs, catalog, []) == ()
 
     def test_row_per_threshold(self, small_corpus):
-        graphs, catalog = small_corpus
-        rows = threshold_sweep(graphs, catalog, [1.0, 3.0], folds=4)
+        pairs, catalog = small_corpus
+        rows = threshold_sweep(pairs, catalog, [1.0, 3.0], folds=4)
         assert [r.threshold for r in rows] == [1.0, 3.0]
         assert all(r.sample_count == 24 for r in rows)
 
     def test_unlabeled_graph_skipped_not_fatal(self, small_corpus, caplog):
-        graphs, catalog = small_corpus
-        broken = graphs[0].__class__(
+        pairs, catalog = small_corpus
+        graph, partition = pairs[0]
+        broken = graph.__class__(
             app_id="broken",
-            nodes=graphs[0].nodes,
-            edges=graphs[0].edges,
+            nodes=graph.nodes,
+            edges=graph.edges,
             ground_truth=None,
         )
         with caplog.at_level(logging.WARNING):
-            rows = threshold_sweep([broken, *graphs], catalog, [3.0], folds=4)
+            rows = threshold_sweep([(broken, partition), *pairs], catalog, [3.0], folds=4)
         assert rows[0].sample_count == 24
         assert any("broken" in rec.getMessage() for rec in caplog.records)

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import homgraph
-from homgraph import classify, community, pipeline
+from homgraph import classify, community, homophily, pipeline
 from homgraph.cli import main, read_features_csv
 from homgraph.model import load_catalog, serialize_graph
 
-from conftest import make_graph
+from conftest import detected, make_graph
 
 GEN_FLAGS = ["--benign", "3", "--covert", "3", "--seed", "7"]
 
@@ -248,6 +248,23 @@ class TestEval:
         report = json.loads(out.read_text())
         assert [row["threshold"] for row in report["sweep"]] == [1, 2, 3, 4, 5]
 
+    def test_sweep_detects_each_graph_once(self, eval_corpus, tmp_path, monkeypatch):
+        calls = []
+        real = community.detect
+
+        def detect(graph, algorithm, seed=0):
+            calls.append(graph.app_id)
+            return real(graph, algorithm, seed)
+
+        monkeypatch.setattr(community, "detect", detect)
+        out = tmp_path / "sweep.json"
+        assert run("eval", str(eval_corpus), "--folds", "4",
+                   "--sweep", "1,3", "--out", str(out)) == 0
+        assert len(calls) == len(set(calls)) == 24
+        report = json.loads(out.read_text())
+        at_default = next(row for row in report["sweep"] if row["threshold"] == 3)
+        assert at_default["macro"] == report["report"]["macro"]
+
     def test_analyze_then_eval_equals_one_shot(self, eval_corpus, tmp_path):
         analysis = tmp_path / "analysis"
         assert run("analyze", str(eval_corpus), "--out", str(analysis)) == 0
@@ -340,10 +357,18 @@ class TestInternalErrorsNotDropped:
 
     def test_threshold_sweep_raises(self, tmp_path, monkeypatch):
         corpus = gen_corpus(tmp_path)
-        graphs = pipeline.load_corpus([corpus])
-        break_one_graph(monkeypatch, corpus)
+        pairs = detected(pipeline.load_corpus([corpus]))
+        target = pairs[0][0].app_id
+        real = homophily.partition_suspicious
+
+        def partition_suspicious(graph, *args):
+            if graph.app_id == target:
+                raise KeyError("synthetic fault")
+            return real(graph, *args)
+
+        monkeypatch.setattr(homophily, "partition_suspicious", partition_suspicious)
         with pytest.raises(KeyError):
-            classify.threshold_sweep(graphs, load_catalog(), [1.0, 3.0], folds=2)
+            classify.threshold_sweep(pairs, load_catalog(), [1.0, 3.0], folds=2)
 
 
 class TestFeatureFileValidation:

@@ -15,6 +15,7 @@ from homgraph.community import (
 from homgraph.model import load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
+from oracles import full_sweep_local_moving
 
 BARBELL_Q = 12 / 13 - 0.5  # m=13, two cliques: m_c=6, d_c=13 each
 
@@ -148,6 +149,90 @@ class TestMultilevel:
         part = detect_multilevel(g, seed=0)
         assert part.community_count == 4
         assert part.modularity_q >= 0.40
+
+
+def random_weighted_level(rng):
+    """adj/self_loop state with integer weights, self-loops and isolated nodes.
+
+    Neighbours are inserted in shuffled order, as aggregation leaves them.
+    """
+    n = rng.randint(1, 80)
+    p = rng.choice((0.03, 0.08, 0.2, 0.5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v in pairs:
+        adj[u][v] = adj[v][u] = float(rng.randint(1, 5))
+    self_loop = [float(rng.randint(1, 4)) if rng.random() < 0.2 else 0.0 for _ in range(n)]
+    return adj, self_loop
+
+
+def copy_rng(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+class TestLocalMovingSkip:
+    """Skipping nodes with unchanged inputs must not change a single label."""
+
+    def test_equals_full_sweep_on_random_weighted_levels(self):
+        cases = aggregated = 0
+        for case in range(240):
+            rng = random.Random(case)
+            adj, self_loop = random_weighted_level(rng)
+            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
+            total_w = upper + sum(self_loop)
+            if total_w == 0:
+                continue
+            cases += 1
+            sweep_rng = random.Random(case)
+            while True:
+                reference_rng = copy_rng(sweep_rng)
+                comm = community._local_moving(adj, self_loop, total_w, sweep_rng)
+                assert comm == full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
+                assert sweep_rng.getstate() == reference_rng.getstate()
+                if len(set(comm)) == len(adj):
+                    break
+                adj, self_loop, _ = community._aggregate(adj, self_loop, comm)
+                aggregated += 1
+        assert cases >= 200 and aggregated >= 200
+
+    def test_equals_full_sweep_inside_detect_multilevel(self, monkeypatch):
+        production = community._local_moving
+        levels_with_self_loops = 0
+
+        def checked(adj, self_loop, total_w, rng):
+            nonlocal levels_with_self_loops
+            reference_rng = copy_rng(rng)
+            comm = production(adj, self_loop, total_w, rng)
+            assert comm == full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
+            levels_with_self_loops += any(self_loop)
+            return comm
+
+        monkeypatch.setattr(community, "_local_moving", checked)
+        rng = random.Random(31)
+        for _ in range(100):
+            g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
+            detect_multilevel(g, seed=rng.randrange(1000))
+        assert levels_with_self_loops >= 100
+
+
+class TestNetworkxModularity:
+    def test_q_equals_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        graphs = [random_digraph(rng, rng.randint(5, 60), rng.uniform(0.05, 0.3))
+                  for _ in range(100)]
+        corpus = generate.generate_corpus(generate.SyntheticSpec(), 10, 10, load_catalog())
+        graphs += [g for g, _ in corpus]
+        for g in graphs:
+            part = detect_multilevel(g)
+            undirected = nx.Graph()
+            undirected.add_nodes_from(g.node_ids)
+            undirected.add_edges_from(g.undirected_edges)
+            expected = nx.community.modularity(undirected, part.communities())
+            assert part.modularity_q == pytest.approx(expected, abs=1e-9)
 
 
 class TestLabelPropagation:

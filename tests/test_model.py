@@ -132,6 +132,13 @@ class TestParse:
         g = make_graph(2, [(0, 1)], names={0: "pkg.Класс.メソッド", 1: "x.Y.z"})
         assert parse_graph(serialize_graph(g)) == g
 
+    def test_serialize_is_compact_single_line(self):
+        g = make_graph(4, [(0, 1), (1, 2), (3, 0)], sensitive=[2], label="malware")
+        text = serialize_graph(g)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert " " not in text
+        assert parse_graph(text) == g
+
 
 class TestNormalize:
     def test_idempotent(self):
