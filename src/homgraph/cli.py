@@ -26,7 +26,7 @@ import numpy as np
 from . import classify, community, generate, homophily, pipeline
 from .classify import LabeledSample
 from .features import feature_names
-from .model import InputError, load_graph, serialize_graph
+from .model import InputError, load_catalog, load_graph, serialize_graph
 
 logger = logging.getLogger("homgraph")
 
@@ -70,14 +70,10 @@ def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     if args.folds < 2:
         raise InputError(f"--folds must be at least 2, got {args.folds}")
     return pipeline.PipelineConfig(
-        catalog_path=args.catalog,
         threshold=args.threshold,
         community_algorithm=args.algo,
-        knn_k=args.k,
-        folds=args.folds,
         seed=args.seed,
         coupling_denominator=args.coupling_denominator,
-        hops=args.hops,
     )
 
 
@@ -175,7 +171,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sensitive_api_count=args.apis,
         seed=args.seed,
     )
-    catalog = pipeline.PipelineConfig(catalog_path=args.catalog).catalog()
+    catalog = load_catalog(args.catalog)
     corpus = generate.generate_corpus(spec, args.benign, args.covert, catalog)
     out_dir = Path(args.out)
     manifest = {"spec": asdict(spec), "catalog": catalog.source, "graphs": []}
@@ -198,8 +194,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    config = _config(args)
-    graphs = pipeline.load_corpus(args.paths, config.catalog())
+    _config(args)
+    graphs = pipeline.load_corpus(args.paths, load_catalog(args.catalog))
     rows = community.compare_algorithms(graphs, args.seed)
     for row in rows:
         print(
@@ -219,7 +215,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     config = _config(args)
-    catalog = config.catalog()
+    catalog = load_catalog(args.catalog)
     graph = load_graph(args.path, catalog)
     analysis = pipeline.analyze_graph(graph, catalog, config)
     _emit(_json_text(pipeline.partition_report(analysis)), args.out)
@@ -227,9 +223,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_covertness(args: argparse.Namespace) -> int:
-    config = _config(args)
-    catalog = config.catalog()
-    graph = load_graph(args.path, catalog)
+    _config(args)
+    graph = load_graph(args.path, load_catalog(args.catalog))
     report = homophily.covertness(graph, args.hops, args.coupling_denominator)
     _emit(_json_text(pipeline.covertness_report_dict(graph, report)), args.out)
     return EXIT_OK
@@ -239,7 +234,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InputError("analyze requires --out DIRECTORY")
     config = _config(args)
-    catalog = config.catalog()
+    catalog = load_catalog(args.catalog)
     graphs = pipeline.load_corpus(args.paths, catalog)
     analyses = pipeline.analyze_corpus(graphs, catalog, config)
     if not analyses:
@@ -340,7 +335,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             classify.cross_validate(samples, args.folds, args.k, args.seed)
         )
     else:
-        catalog = config.catalog()
+        catalog = load_catalog(args.catalog)
         graphs = pipeline.load_corpus(args.paths, catalog)
         analyses = pipeline.analyze_corpus(graphs, catalog, config)
         samples = pipeline.samples_from_analyses(analyses)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .model import CallGraph
 
@@ -109,24 +110,17 @@ def _dense_partition(
     return CommunityPartition(assignment, len(order), q, q_trace)
 
 
-def _singleton_partition(graph: CallGraph) -> CommunityPartition:
-    assignment = {n.id: i for i, n in enumerate(sorted(graph.nodes, key=lambda n: n.id))}
-    return CommunityPartition(assignment, len(assignment), 0.0)
-
-
 def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     """Louvain-style two-phase modularity optimization.
 
     Alternates local moving (seed-permuted sweep order, ties to the smallest
     community id, only strictly improving moves, nodes with unchanged inputs
     skipped) with graph aggregation until a pass improves Q by at most
-    ``Q_IMPROVEMENT_TOL``.
+    ``Q_IMPROVEMENT_TOL``. A pass's Q is read off the level it aggregated to.
     """
-    if graph.node_count == 0:
-        return CommunityPartition({}, 0, 0.0)
     node_ids = sorted(graph.node_ids)
     if not graph.undirected_edges:
-        return _singleton_partition(graph)
+        return _dense_partition(graph, {nid: nid for nid in node_ids})
 
     index = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
@@ -142,22 +136,20 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     membership = list(range(n))  # original node index -> current community label
     rng = random.Random(seed)
     q_trace: list[float] = []
-    prev_q = _weighted_q(adj, self_loop, list(range(len(adj))), total_w)
+    prev_q = _level_q(adj, self_loop, total_w, range(n))
 
     while True:
         comm = _local_moving(adj, self_loop, total_w, rng)
-        q = _weighted_q(adj, self_loop, comm, total_w)
+        adj, self_loop, relabel = _aggregate(adj, self_loop, comm)
+        for i in range(n):
+            membership[i] = relabel[comm[membership[i]]]
+        q = _level_q(adj, self_loop, total_w, [relabel[c] for c in dict.fromkeys(comm)])
         if not q >= prev_q - 1e-9:
             raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
         q_trace.append(q)
         if q - prev_q <= Q_IMPROVEMENT_TOL:
-            for i in range(n):
-                membership[i] = comm[membership[i]]
             break
         prev_q = q
-        adj, self_loop, relabel = _aggregate(adj, self_loop, comm)
-        for i in range(n):
-            membership[i] = relabel[comm[membership[i]]]
 
     final = {nid: membership[index[nid]] for nid in node_ids}
     part = _dense_partition(graph, final, tuple(q_trace))
@@ -236,26 +228,23 @@ def _local_moving(
     return comm
 
 
-def _weighted_q(
+def _level_q(
     adj: list[dict[int, float]],
     self_loop: list[float],
-    comm: list[int],
     total_w: float,
+    order: Iterable[int],
 ) -> float:
-    """Modularity of a labeling on the weighted aggregated graph."""
-    intra: dict[int, float] = {}
-    deg: dict[int, float] = {}
-    for i, nbrs in enumerate(adj):
-        c = comm[i]
-        deg[c] = deg.get(c, 0.0) + sum(nbrs.values()) + 2.0 * self_loop[i]
-        intra[c] = intra.get(c, 0.0) + self_loop[i]
-        for j, w in nbrs.items():
-            if j > i and comm[j] == c:
-                intra[c] = intra.get(c, 0.0) + w
+    """Modularity of the partition whose communities are this level's nodes.
+
+    Each node's self-loop is its community's internal weight and its
+    strength the community's degree; both are integer-valued, so only the
+    order of the outer sum, given by ``order``, can touch the last bit.
+    """
     q = 0.0
     two_w = 2.0 * total_w
-    for c, d in deg.items():
-        q += intra.get(c, 0.0) / total_w - (d / two_w) ** 2
+    for c in order:
+        strength = sum(adj[c].values()) + 2.0 * self_loop[c]
+        q += self_loop[c] / total_w - (strength / two_w) ** 2
     return q
 
 
@@ -292,8 +281,6 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     label); sweeps run in seed-permuted order until a fixpoint or
     ``MAX_LABEL_SWEEPS`` sweeps.
     """
-    if graph.node_count == 0:
-        return CommunityPartition({}, 0, 0.0)
     neighbors = graph.undirected_neighbors
     labels = {nid: nid for nid in graph.node_ids}
     order = sorted(graph.node_ids)

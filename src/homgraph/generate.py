@@ -24,7 +24,6 @@ from .model import (
     InputError,
     SensitiveApiCatalog,
     load_catalog,
-    matching_entries,
     normalize,
 )
 
@@ -290,7 +289,7 @@ def _generate_graph(
             nodes.append(FunctionNode(id=nid, name=name, sensitive=False))
 
     for node in nodes:
-        if node.sensitive != bool(matching_entries(node.name, catalog)):
+        if node.sensitive != (catalog.pattern.search(node.name) is not None):
             raise InfeasibleSpecError(
                 f"catalog entry collides with generated name {node.name!r}"
             )

@@ -17,6 +17,7 @@ ignored, order significant (it fixes feature-vector dimension order).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
@@ -149,32 +150,24 @@ class SensitiveApiCatalog:
         return len(self.entries)
 
     @cached_property
-    def tail_index(self) -> tuple[int, dict[str, list[tuple[int, str]]]]:
-        """``(width, entries keyed by their last width characters)``, where
-        ``width`` is the shortest entry length, so that matching probes one
-        key per name position instead of testing every entry."""
-        width = min(map(len, self.entries))
-        by_tail: dict[str, list[tuple[int, str]]] = {}
-        for i, entry in enumerate(self.entries):
-            by_tail.setdefault(entry[-width:], []).append((i, entry))
-        return width, by_tail
+    def pattern(self) -> re.Pattern[str]:
+        """One alternation of every entry, escaped: it finds a name that
+        contains any entry. Compiled on first use, not when loading."""
+        return re.compile("|".join(map(re.escape, self.entries)))
 
 
 def matching_entries(node_name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...]:
-    """Indices of all catalog entries occurring inside the whitespace-trimmed name.
+    """Indices of all catalog entries occurring inside the name.
 
     Substring matching tolerates descriptor suffixes emitted by call-graph
-    extractors (``...getDeviceId()V`` still matches ``...getDeviceId``). A
-    node is sensitive exactly when this is non-empty.
+    extractors (``...getDeviceId()V`` still matches ``...getDeviceId``).
+    Entries are trimmed, so a name's outer whitespace never matters. A node
+    is sensitive exactly when this is non-empty, that is when
+    ``catalog.pattern`` finds the name.
     """
-    name = node_name.strip()
-    width, by_tail = catalog.tail_index
-    hits: set[int] = set()
-    for end in range(width, len(name) + 1):
-        for i, entry in by_tail.get(name[end - width:end], ()):
-            if name.endswith(entry, 0, end):
-                hits.add(i)
-    return tuple(sorted(hits))
+    if catalog.pattern.search(node_name) is None:
+        return ()
+    return tuple(i for i, entry in enumerate(catalog.entries) if entry in node_name)
 
 
 def load_catalog(path: str | Path | None = None) -> SensitiveApiCatalog:
@@ -292,7 +285,7 @@ def parse_graph(
         if type(sensitive) is not bool:
             raise GraphFormatError(f"{where}: 'sensitive' must be a boolean")
         if catalog is not None:
-            sensitive = bool(matching_entries(name, catalog))
+            sensitive = catalog.pattern.search(name) is not None
         nodes.append(FunctionNode(id=nid, name=name, sensitive=sensitive))
     nodes.sort(key=attrgetter("id"))
 

@@ -1,9 +1,10 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
-One ``PipelineConfig`` carries every tunable; its defaults are the
-best-performing configuration (threshold 3, multilevel detection, 1NN,
-10 folds). Corpus runs analyze graphs one after another, in the calling
-thread, and emit results in app_id order.
+One ``PipelineConfig`` carries the tunables of per-graph analysis; its
+defaults are the best-performing configuration (threshold 3, multilevel
+detection). The catalog is loaded by the caller, and classifier settings
+(k, folds) go straight to ``classify``. Corpus runs analyze graphs one
+after another, in the calling thread, and emit results in app_id order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .model import (
     CallGraph,
     InputError,
     SensitiveApiCatalog,
-    load_catalog,
     load_graph,
 )
 
@@ -30,19 +30,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the analysis pipeline; defaults match the reference setup."""
+    """Knobs of per-graph analysis; defaults match the reference setup."""
 
-    catalog_path: str | None = None
     threshold: float = 3.0
     community_algorithm: str = community.MULTILEVEL
-    knn_k: int = 1
-    folds: int = 10
     seed: int = 0
     coupling_denominator: str = homophily.DENOMINATOR_TOTAL
-    hops: int = 1
-
-    def catalog(self) -> SensitiveApiCatalog:
-        return load_catalog(self.catalog_path)
 
 
 @dataclass(frozen=True, eq=False)

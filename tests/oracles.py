@@ -4,7 +4,9 @@ These deliberately avoid the production code paths: triads are classified
 from dyad structure instead of the code table, coupling is recomputed with
 exact fractions over an explicit edge scan, reachability uses a plain BFS,
 and Louvain local moving re-evaluates every node on every sweep. Everything
-here is slow and only suitable for test sizes.
+here is slow and only suitable for test sizes. Catalog hits are plain
+substring tests, and Louvain's per-pass Q is recomputed from every edge of
+the level.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 
 from homgraph.features import SELECTED_TRIADS
-from homgraph.model import CallGraph, SensitiveApiCatalog, matching_entries
+from homgraph.model import CallGraph, SensitiveApiCatalog
 
 
 def classify_triple(succ: dict[int, set[int]], a: int, b: int, c: int) -> str:
@@ -86,7 +88,7 @@ def brute_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
     api_matches = {}
     if catalog is not None:
         for node in graph.nodes:
-            hits = matching_entries(node.name, catalog)
+            hits = [i for i, entry in enumerate(catalog.entries) if entry in node.name]
             if hits:
                 api_matches[node.id] = hits
     edgeless = 0
@@ -197,3 +199,31 @@ def full_sweep_local_moving(
                 comm[i] = best_comm
                 moved = True
     return comm
+
+
+def weighted_q(
+    adj: list[dict[int, float]],
+    self_loop: list[float],
+    comm: list[int],
+    total_w: float,
+) -> float:
+    """Modularity of a labeling on one weighted Louvain level, by edge scan.
+
+    The reference for the per-pass Q that ``community.detect_multilevel``
+    reads off the aggregated level: communities are summed in order of first
+    appearance in ``comm``.
+    """
+    intra: dict[int, float] = {}
+    deg: dict[int, float] = {}
+    for i, nbrs in enumerate(adj):
+        c = comm[i]
+        deg[c] = deg.get(c, 0.0) + sum(nbrs.values()) + 2.0 * self_loop[i]
+        intra[c] = intra.get(c, 0.0) + self_loop[i]
+        for j, w in nbrs.items():
+            if j > i and comm[j] == c:
+                intra[c] = intra.get(c, 0.0) + w
+    q = 0.0
+    two_w = 2.0 * total_w
+    for c, d in deg.items():
+        q += intra.get(c, 0.0) / total_w - (d / two_w) ** 2
+    return q

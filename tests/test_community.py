@@ -15,7 +15,7 @@ from homgraph.community import (
 from homgraph.model import load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
-from oracles import full_sweep_local_moving
+from oracles import full_sweep_local_moving, weighted_q
 
 BARBELL_Q = 12 / 13 - 0.5  # m=13, two cliques: m_c=6, d_c=13 each
 
@@ -216,6 +216,48 @@ class TestLocalMovingSkip:
             g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
             detect_multilevel(g, seed=rng.randrange(1000))
         assert levels_with_self_loops >= 100
+
+
+class TestPassQ:
+    """A pass's Q, read off the aggregated level, equals an edge scan bit for bit."""
+
+    def test_q_trace_equals_edge_scan_on_every_level(self, monkeypatch):
+        production = community._local_moving
+        expected: list[float] = []
+
+        def recorded(adj, self_loop, total_w, rng):
+            comm = production(adj, self_loop, total_w, rng)
+            expected.append(weighted_q(adj, self_loop, comm, total_w))
+            return comm
+
+        monkeypatch.setattr(community, "_local_moving", recorded)
+        rng = random.Random(37)
+        multi_level = 0
+        for _ in range(120):
+            g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
+            expected.clear()
+            part = detect_multilevel(g, seed=rng.randrange(1000))
+            assert list(part.q_trace) == expected
+            multi_level += len(expected) > 1
+        assert multi_level >= 100
+
+    def test_level_q_equals_edge_scan_on_random_weighted_levels(self):
+        for case in range(240):
+            rng = random.Random(case)
+            adj, self_loop = random_weighted_level(rng)
+            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
+            total_w = upper + sum(self_loop)
+            if total_w == 0:
+                continue
+            n = len(adj)
+            singletons = community._level_q(adj, self_loop, total_w, range(n))
+            assert singletons == weighted_q(adj, self_loop, list(range(n)), total_w)
+            comm = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+            new_adj, new_loop, relabel = community._aggregate(adj, self_loop, comm)
+            order = [relabel[c] for c in dict.fromkeys(comm)]
+            assert community._level_q(new_adj, new_loop, total_w, order) == weighted_q(
+                adj, self_loop, comm, total_w
+            )
 
 
 class TestNetworkxModularity:

@@ -182,19 +182,23 @@ class TestMatchSensitive:
     def test_every_contained_entry_found(self):
         # Entries nest and overlap, and one is a single character, so names
         # hit several entries and are shorter or longer than the shortest one.
+        # Regex metacharacters appear too, so an unescaped pattern misflags.
         rng = random.Random(12)
-        alphabet = "ab.()"
+        alphabet = "ab.()*+?|[]\\^$"
         for _ in range(200):
-            entries = tuple({
+            entries = tuple(dict.fromkeys(
                 "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 8))
-            })
+            ))
             catalog = SensitiveApiCatalog(entries=entries)
             for _ in range(20):
                 core = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
                 name = rng.choice(("", " ", "\t")) + core + rng.choice(("", "  "))
                 expected = tuple(i for i, e in enumerate(entries) if e in name.strip())
                 assert matching_entries(name, catalog) == expected, (entries, name)
+                one_node = json.dumps({"app_id": "x", "nodes": [{"id": 0, "name": name}]})
+                flagged = parse_graph(one_node, catalog=catalog).nodes[0].sensitive
+                assert flagged == bool(expected), (entries, name)
 
 
 class TestCatalog:
