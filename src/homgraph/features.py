@@ -16,9 +16,13 @@ nodes A, B, C):
     111U  A<->B, B->C         030T  A->B, C->B, A->C
     120U  A->B, C->B, A<->C
 
-The census walks edge neighborhoods rather than all n^3 triples, so it
-stays cheap on sparse graphs; triples with one non-null dyad are counted
-in bulk and edgeless triples are tallied separately by subtraction.
+The census counts rather than classifies (Moody 1998, "Matrix methods for
+calculating the triad census"): each node's out-only, in-only and mutual
+neighbour counts give every wedge type, and degree sums give the one-edge
+types. Only triangles are listed (Chiba & Nishizeki 1985); each one is
+classified and corrects the wedge and one-edge counts it was included in.
+Edgeless triples are the remainder. The per-API counts walk only the
+connected triples of the nodes that match the catalog.
 """
 
 from __future__ import annotations
@@ -109,51 +113,96 @@ def triad_census(
 
 
 def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> TriadCensus:
-    """:func:`triad_census` from each node's catalog hits."""
+    """:func:`triad_census` from each node's catalog hits, by counting.
+
+    Open and one-edge triads follow from degrees (Moody 1998) once the
+    triangles are known, and only the triangles are listed.
+    """
     nodes = [n.id for n in subgraph.nodes]
     n = len(nodes)
     succ = subgraph.out_neighbors
     pred = subgraph.in_neighbors
-    position = {nid: i for i, nid in enumerate(nodes)}
+    # Built here rather than cached on the subgraph, which outlives the call.
+    nbrs = {v: succ[v] | pred[v] for v in nodes}
 
-    totals = {name: 0 for name in TRIAD_NAMES}
-    sensitive: dict[tuple[int, str], int] = {}
+    # Wedges, open or closed, by the dyads of their two arms: a node with a
+    # out-only, b in-only and m mutual neighbours centres a*b 021C wedges,
+    # m*b 111D wedges, and so on. An edge (u, v) leaves n - d_u - d_v third
+    # nodes adjacent to neither end, plus one per triangle on it. No sum
+    # exceeds n * 2E, so int64 is exact.
+    d = np.fromiter((len(nbrs[v]) for v in nodes), np.int64, n)
+    a = d - np.fromiter((len(pred[v]) for v in nodes), np.int64, n)
+    b = d - np.fromiter((len(succ[v]) for v in nodes), np.int64, n)
+    m = d - a - b
+    totals = dict.fromkeys(TRIAD_NAMES, 0)
+    for name, count in (
+        ("021D", a @ (a - 1) // 2), ("021U", b @ (b - 1) // 2), ("021C", a @ b),
+        ("111D", m @ b), ("111U", m @ a), ("201", m @ (m - 1) // 2),
+        ("012", n * (d - m).sum() // 2 - d @ (d - m)), ("102", n * m.sum() // 2 - d @ m),
+    ):
+        totals[name] = int(count)
 
-    for v in nodes:
-        vnbrs = pred[v] | succ[v]
-        for u in vnbrs:
-            if position[u] <= position[v]:
-                continue
-            third = (vnbrs | succ[u] | pred[u]) - {u, v}
-            # Triples whose only edges sit in the (v, u) dyad, in bulk.
-            if u in succ[v] and v in succ[u]:
-                totals["102"] += n - len(third) - 2
-            else:
-                totals["012"] += n - len(third) - 2
-            for w in third:
-                if position[u] < position[w] or (
-                    position[v] < position[w] < position[u]
-                    and w not in vnbrs
-                ):
-                    code = _tricode(succ, v, u, w)
-                    name = _CODE_TO_NAME[code]
-                    totals[name] += 1
-                    if name in _SELECTED_SET and api_matches:
-                        apis: set[int] = set()
-                        for member in (v, u, w):
-                            apis.update(api_matches.get(member, ()))
-                        for api in apis:
-                            key = (api, name)
-                            sensitive[key] = sensitive.get(key, 0) + 1
+    # Each triangle once, from its two smallest ids. A set intersection
+    # walks the smaller set, so listing costs O(arboricity * edges)
+    # (Chiba & Nishizeki 1985).
+    closed = [0] * 64
+    for u in nodes:
+        nu = nbrs[u]
+        for v in nu:
+            if v > u:
+                for w in nu & nbrs[v]:
+                    if w > v:
+                        closed[_tricode(succ, u, v, w)] += 1
+    for code, count in enumerate(closed):
+        if count:
+            totals[_CODE_TO_NAME[code]] += count
+            # Dropping one dyad's two bits leaves the wedge at the opposite
+            # corner; that dyad's edge also gains the triangle's third node.
+            for dyad in (3, 12, 48):
+                totals[_CODE_TO_NAME[code & ~dyad]] -= count
+                totals["102" if code & dyad == dyad else "012"] += count
 
-    classified = sum(totals.values())
-    edgeless = n * (n - 1) * (n - 2) // 6 - classified
     return TriadCensus(
         total_counts=totals,
-        sensitive_counts=sensitive,
-        edgeless_triples=edgeless,
+        sensitive_counts=_sensitive_counts(succ, nbrs, api_matches),
+        edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
         node_count=n,
     )
+
+
+def _sensitive_counts(
+    succ: dict[int, set[int]],
+    nbrs: dict[int, set[int]],
+    api_matches: dict[int, tuple[int, ...]],
+) -> dict[tuple[int, str], int]:
+    """Selected triads per catalog entry, from the connected triples of the
+    matching nodes only.
+
+    A triple holding several nodes that match one entry counts for it once,
+    at the first of them walked (ascending id); the first node walked for an
+    entry has nothing to test.
+    """
+    sensitive: dict[tuple[int, str], int] = {}
+    walked: dict[int, set[int]] = {}  # entry -> its matching nodes walked so far
+    for x in sorted(api_matches):
+        apis = api_matches[x]
+        arms = list(nbrs[x])
+        beyond = nbrs[x] | {x}
+        for i, y in enumerate(arms):
+            # x centres (x, y, z) for each later arm z, and ends it for each
+            # z adjacent to y but not to x.
+            for z in [*arms[i + 1:], *(nbrs[y] - beyond)]:
+                name = _CODE_TO_NAME[_tricode(succ, x, y, z)]
+                if name in _SELECTED_SET:
+                    for api in apis:
+                        earlier = walked.get(api)
+                        if earlier and (y in earlier or z in earlier):
+                            continue
+                        key = (api, name)
+                        sensitive[key] = sensitive.get(key, 0) + 1
+        for api in apis:
+            walked.setdefault(api, set()).add(x)
+    return sensitive
 
 
 def _tricode(succ: dict[int, set[int]], v: int, u: int, w: int) -> int:

@@ -155,6 +155,21 @@ class SensitiveApiCatalog:
         contains any entry. Compiled on first use, not when loading."""
         return re.compile("|".join(map(re.escape, self.entries)))
 
+    @cached_property
+    def entry_finder(self) -> tuple[re.Pattern[str], dict[str, tuple[int, ...]]]:
+        """A lookahead alternation, longest entries first, that matches at
+        every position where an entry starts and captures the longest such
+        entry; and, for each entry, the indices of the entries it starts
+        with (itself included). Built on first use, not when loading."""
+        index = {entry: i for i, entry in enumerate(self.entries)}
+        longest_first = sorted(self.entries, key=len, reverse=True)
+        finder = re.compile("(?=(" + "|".join(map(re.escape, longest_first)) + "))")
+        prefixes = {
+            entry: tuple(index[entry[:k]] for k in range(1, len(entry) + 1) if entry[:k] in index)
+            for entry in self.entries
+        }
+        return finder, prefixes
+
 
 def matching_entries(node_name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...]:
     """Indices of all catalog entries occurring inside the name.
@@ -167,7 +182,10 @@ def matching_entries(node_name: str, catalog: SensitiveApiCatalog) -> tuple[int,
     """
     if catalog.pattern.search(node_name) is None:
         return ()
-    return tuple(i for i, entry in enumerate(catalog.entries) if entry in node_name)
+    # Every entry that starts where another one does is a prefix of the
+    # longest of them, so the longest at each position names them all.
+    finder, prefixes = catalog.entry_finder
+    return tuple(sorted({i for hit in finder.finditer(node_name) for i in prefixes[hit[1]]}))
 
 
 def load_catalog(path: str | Path | None = None) -> SensitiveApiCatalog:

@@ -5,8 +5,9 @@ from dyad structure instead of the code table, coupling is recomputed with
 exact fractions over an explicit edge scan, reachability uses a plain BFS,
 and Louvain local moving re-evaluates every node on every sweep. Everything
 here is slow and only suitable for test sizes. Catalog hits are plain
-substring tests, and Louvain's per-pass Q is recomputed from every edge of
-the level.
+substring tests, Louvain's per-pass Q is recomputed from every edge of the
+level, and a second census classifies every connected triple one at a time
+with the production code table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from homgraph.features import SELECTED_TRIADS
+from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES, _tricode
 from homgraph.model import CallGraph, SensitiveApiCatalog
 
 
@@ -80,17 +81,9 @@ def classify_triple(succ: dict[int, set[int]], a: int, b: int, c: int) -> str:
 def brute_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
     """All-triples census: (totals, edgeless count, per-api sensitive counts)."""
     succ = graph.out_neighbors
-    totals = {name: 0 for name in (
-        "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
-        "030T", "030C", "201", "120D", "120U", "120C", "210", "300",
-    )}
+    totals = {name: 0 for name in TRIAD_NAMES}
     sensitive: dict[tuple[int, str], int] = {}
-    api_matches = {}
-    if catalog is not None:
-        for node in graph.nodes:
-            hits = [i for i, entry in enumerate(catalog.entries) if entry in node.name]
-            if hits:
-                api_matches[node.id] = hits
+    api_matches = _substring_hits(graph, catalog)
     edgeless = 0
     for a, b, c in itertools.combinations(sorted(graph.node_ids), 3):
         name = classify_triple(succ, a, b, c)
@@ -106,6 +99,65 @@ def brute_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
                 key = (api, name)
                 sensitive[key] = sensitive.get(key, 0) + 1
     return totals, edgeless, sensitive
+
+
+def walk_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
+    """Census by classifying every connected triple once (Batagelj & Mrvar
+    2001): (totals, edgeless count, per-api sensitive counts).
+
+    A reference for the production census, which counts instead of
+    walking. From each edge (v, u) with v first, it classifies every third
+    node adjacent to v or u, once per triple, with the production code
+    table, and counts the triples whose only edge is (v, u) in bulk.
+    """
+    nodes = [n.id for n in graph.nodes]
+    n = len(nodes)
+    succ = graph.out_neighbors
+    pred = graph.in_neighbors
+    position = {nid: i for i, nid in enumerate(nodes)}
+    api_matches = _substring_hits(graph, catalog)
+
+    totals = {name: 0 for name in TRIAD_NAMES}
+    sensitive: dict[tuple[int, str], int] = {}
+    for v in nodes:
+        vnbrs = pred[v] | succ[v]
+        for u in vnbrs:
+            if position[u] <= position[v]:
+                continue
+            third = (vnbrs | succ[u] | pred[u]) - {u, v}
+            if u in succ[v] and v in succ[u]:
+                totals["102"] += n - len(third) - 2
+            else:
+                totals["012"] += n - len(third) - 2
+            for w in third:
+                if position[u] < position[w] or (
+                    position[v] < position[w] < position[u]
+                    and w not in vnbrs
+                ):
+                    name = _CODE_TO_NAME[_tricode(succ, v, u, w)]
+                    totals[name] += 1
+                    if name in SELECTED_TRIADS and api_matches:
+                        apis: set[int] = set()
+                        for member in (v, u, w):
+                            apis.update(api_matches.get(member, ()))
+                        for api in apis:
+                            key = (api, name)
+                            sensitive[key] = sensitive.get(key, 0) + 1
+    edgeless = n * (n - 1) * (n - 2) // 6 - sum(totals.values())
+    return totals, edgeless, sensitive
+
+
+def contained_entries(name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...]:
+    """Indices of the catalog entries inside ``name``, one ``in`` test each."""
+    return tuple(i for i, entry in enumerate(catalog.entries) if entry in name)
+
+
+def _substring_hits(graph: CallGraph, catalog: SensitiveApiCatalog | None) -> dict[int, tuple[int, ...]]:
+    """Catalog entries inside each node's name, by plain substring tests."""
+    if catalog is None:
+        return {}
+    hits = {node.id: contained_entries(node.name, catalog) for node in graph.nodes}
+    return {nid: found for nid, found in hits.items() if found}
 
 
 def brute_coupling(graph: CallGraph, part_a, part_b, denominator: str = "total"):

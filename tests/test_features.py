@@ -16,7 +16,20 @@ from homgraph.homophily import PartitionOutcome
 from homgraph.model import CallGraph, SensitiveApiCatalog
 
 from conftest import make_graph
-from oracles import brute_census
+from oracles import brute_census, walk_census
+
+
+def dyad_edges(rng, n, edge_prob, mutual_prob):
+    """Random arcs on nodes 0..n-1: each pair is linked with ``edge_prob``,
+    and a linked pair is mutual with ``mutual_prob``."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+                if rng.random() < mutual_prob:
+                    edges.append(edges[-1][::-1])
+    return edges
 
 
 def outcome_for(graph, threshold=3.0):
@@ -80,24 +93,41 @@ class TestCensus:
             if code != "021C":
                 assert census.total_counts[code] == 0
 
-    def test_matches_brute_force_on_random_digraphs(self, tiny_catalog):
+    def test_matches_brute_force_on_random_digraphs(self):
+        # "api56" nests "api5", so a node can match two entries; several
+        # nodes share each entry, often within two hops of each other, so a
+        # triad can hold two nodes matching one entry. Graphs run from 0 to
+        # 30 nodes, with isolated nodes and no, some or only mutual dyads.
+        catalog = SensitiveApiCatalog(entries=("api5", "api6", "api56"))
+        names = ("fn", "wrapped.api5.call", "api6()", "x.api56.y")
         rng = random.Random(12)
-        for i in range(60):
-            n = rng.randint(3, 30)
-            names = {j: f"fn{j}" for j in range(n)}
-            for j in rng.sample(range(n), k=min(n, 2)):
-                names[j] = f"wrapped.api{5 + (j % 2)}.call"
-            g = make_graph(n, [
-                (u, v) for u in range(n) for v in range(n)
-                if u != v and rng.random() < 0.2
-            ], names=names)
-            census = triad_census(g, tiny_catalog)
-            totals, edgeless, sensitive = brute_census(g, tiny_catalog)
-            assert census.total_counts == totals
-            assert census.edgeless_triples == edgeless
-            assert census.sensitive_counts == sensitive
+        covered = {"nested": 0, "near pair": 0, "mutual": 0, "isolated": 0}
+        for i in range(240):
+            n = i % 4 if i < 12 else rng.randint(3, 30)
+            mutual_prob = (0.0, 0.3, 1.0)[i % 3]
+            node_names = {j: rng.choice(names) + str(j) for j in range(n)}
+            g = make_graph(n, dyad_edges(rng, n, 0.15, mutual_prob), names=node_names)
+
+            census = triad_census(g, catalog)
+            for totals, edgeless, sensitive in (
+                walk_census(g, catalog), brute_census(g, catalog)
+            ):
+                assert census.total_counts == totals
+                assert census.edgeless_triples == edgeless
+                assert census.sensitive_counts == sensitive
             n_triples = n * (n - 1) * (n - 2) // 6
             assert sum(census.total_counts.values()) + census.edgeless_triples == n_triples
+
+            hits = {j: {e for e in catalog.entries if e in name} for j, name in node_names.items()}
+            covered["nested"] += any(len(found) == 2 for found in hits.values())
+            covered["near pair"] += any(
+                hits[x] & hits[z]
+                for x in range(n) for y in g.undirected_neighbors[x]
+                for z in g.undirected_neighbors[y] | {y} if z > x
+            )
+            covered["mutual"] += census.total_counts["102"] > 0
+            covered["isolated"] += any(not nbrs for nbrs in g.undirected_neighbors.values())
+        assert min(covered.values()) >= 20, covered
 
     def test_relabel_invariance(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 1)]
@@ -123,6 +153,22 @@ class TestCensus:
     def test_all_16_names_present(self):
         census = triad_census(make_graph(3, [(0, 1)]))
         assert set(census.total_counts) == set(TRIAD_NAMES)
+
+
+class TestNetworkxCensus:
+    def test_totals_equal_networkx_triadic_census(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        for i in range(120):
+            n = rng.randint(0, 25)
+            g = make_graph(n, dyad_edges(rng, n, rng.uniform(0.05, 0.4), (0.0, 0.3, 1.0)[i % 3]))
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(range(n))
+            digraph.add_edges_from(g.edges)
+            expected = nx.triadic_census(digraph)
+            census = triad_census(g)
+            assert census.edgeless_triples == expected.pop("003")
+            assert census.total_counts == {**expected, "003": 0}
 
 
 # Six nodes realizing the worked feature-extraction example: selected-type

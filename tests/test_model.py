@@ -20,6 +20,7 @@ from homgraph.model import (
 )
 
 from conftest import make_graph
+from oracles import contained_entries
 
 
 def doc(**overrides):
@@ -132,6 +133,32 @@ class TestParse:
         g = make_graph(2, [(0, 1)], names={0: "pkg.Класс.メソッド", 1: "x.Y.z"})
         assert parse_graph(serialize_graph(g)) == g
 
+    def test_round_trip_property(self):
+        # Any Unicode app id, name and label; edges may repeat and loop.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def round_trip(data):
+            ids = data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True))
+            nodes = tuple(
+                FunctionNode(id=nid, name=data.draw(st.text()), sensitive=data.draw(st.booleans()))
+                for nid in ids
+            )
+            arc = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+            raw = CallGraph(
+                app_id=data.draw(st.text(min_size=1)),
+                nodes=nodes,
+                edges=tuple(data.draw(st.lists(arc, max_size=40))),
+                ground_truth=data.draw(st.sampled_from([None, "benign", "malware"])),
+            )
+            g = normalize(raw)
+            assert parse_graph(serialize_graph(g)) == g
+            assert parse_graph(serialize_graph(raw)) == g
+
+        round_trip()
+
     def test_serialize_is_compact_single_line(self):
         g = make_graph(4, [(0, 1), (1, 2), (3, 0)], sensitive=[2], label="malware")
         text = serialize_graph(g)
@@ -182,19 +209,22 @@ class TestMatchSensitive:
     def test_every_contained_entry_found(self):
         # Entries nest and overlap, and one is a single character, so names
         # hit several entries and are shorter or longer than the shortest one.
-        # Regex metacharacters appear too, so an unescaped pattern misflags.
+        # Names splice whole entries between random characters, so one
+        # position often starts several entries. Regex metacharacters appear
+        # too, so an unescaped pattern misflags.
         rng = random.Random(12)
         alphabet = "ab.()*+?|[]\\^$"
         for _ in range(200):
             entries = tuple(dict.fromkeys(
                 "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-                for _ in range(rng.randint(1, 8))
+                for _ in range(rng.randint(1, 12))
             ))
             catalog = SensitiveApiCatalog(entries=entries)
+            pieces = entries + tuple(alphabet)
             for _ in range(20):
-                core = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+                core = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
                 name = rng.choice(("", " ", "\t")) + core + rng.choice(("", "  "))
-                expected = tuple(i for i, e in enumerate(entries) if e in name.strip())
+                expected = contained_entries(name, catalog)
                 assert matching_entries(name, catalog) == expected, (entries, name)
                 one_node = json.dumps({"app_id": "x", "nodes": [{"id": 0, "name": name}]})
                 flagged = parse_graph(one_node, catalog=catalog).nodes[0].sensitive
