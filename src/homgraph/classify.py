@@ -8,18 +8,13 @@ a seeded shuffle, so identical seeds reproduce identical reports.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import community, homophily
-from .features import featurize
-from .model import BENIGN, LABELS, MALWARE, CallGraph, InputError, SensitiveApiCatalog
-
-logger = logging.getLogger(__name__)
+from .model import BENIGN, LABELS, MALWARE, InputError
 
 
 class DatasetError(InputError):
@@ -201,50 +196,22 @@ def cross_validate(
     return CrossValidationReport(macro, micro, tuple(fold_counts))
 
 
-def graph_features(
-    graph: CallGraph,
-    catalog: SensitiveApiCatalog,
-    partition: community.CommunityPartition,
-    threshold: float,
-    denominator: str = homophily.DENOMINATOR_TOTAL,
-) -> LabeledSample:
-    """Feature sample for one labeled graph under a fixed partition."""
-    if graph.ground_truth is None:
-        raise DatasetError(f"graph {graph.app_id!r} has no ground-truth label")
-    outcome = homophily.partition_suspicious(graph, partition, threshold, denominator)
-    vector = featurize(outcome, catalog).as_array()
-    return LabeledSample(graph.app_id, graph.ground_truth, vector)
-
-
 def threshold_sweep(
-    detected: Sequence[tuple[CallGraph, community.CommunityPartition]],
-    catalog: SensitiveApiCatalog,
     thresholds: Sequence[float],
+    datasets: Sequence[Sequence[LabeledSample]],
     *,
     k: int = 1,
     folds: int = 10,
     seed: int = 0,
-    denominator: str = homophily.DENOMINATOR_TOTAL,
 ) -> tuple[SweepRow, ...]:
-    """Rerun partition -> featurize -> cross-validation per threshold.
+    """Cross-validate the dataset of each threshold, in order.
 
-    ``detected`` pairs each graph with its community partition, which all
-    thresholds share. A graph with invalid input at any stage (such as a
-    missing label) is logged with its id and excluded; any other error is a
-    fault and propagates.
+    ``datasets[i]`` holds the samples featurized at ``thresholds[i]``; the
+    pipeline builds them all from one coupling pass per graph.
     """
-    rows: list[SweepRow] = []
-    for threshold in thresholds:
-        samples: list[LabeledSample] = []
-        for graph, partition in detected:
-            try:
-                samples.append(
-                    graph_features(graph, catalog, partition, threshold, denominator)
-                )
-            except InputError as exc:
-                logger.warning(
-                    "skipping graph %r at threshold %s: %s", graph.app_id, threshold, exc
-                )
-        report = cross_validate(samples, folds, k, seed)
-        rows.append(SweepRow(threshold, report, len(samples)))
-    return tuple(rows)
+    if len(thresholds) != len(datasets):
+        raise ValueError(f"{len(thresholds)} thresholds but {len(datasets)} datasets")
+    return tuple(
+        SweepRow(threshold, cross_validate(samples, folds, k, seed), len(samples))
+        for threshold, samples in zip(thresholds, datasets)
+    )

@@ -218,7 +218,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     graph = load_graph(args.path, catalog)
     analysis = pipeline.analyze_graph(graph, catalog, config)
-    _emit(_json_text(pipeline.partition_report(analysis)), args.out)
+    _emit(_json_text(analysis.report), args.out)
     return EXIT_OK
 
 
@@ -235,14 +235,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise InputError("analyze requires --out DIRECTORY")
     config = _config(args)
     catalog = load_catalog(args.catalog)
-    graphs = pipeline.load_corpus(args.paths, catalog)
-    analyses = pipeline.analyze_corpus(graphs, catalog, config)
+    analyses = pipeline.analyze_corpus(pipeline.read_graphs(args.paths, catalog), catalog, config)
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
     _write_text(out_dir / "features.csv", _features_csv(analyses, catalog))
-    reports = [pipeline.partition_report(a) for a in analyses]
-    _write_text(out_dir / "partitions.json", _json_text(reports))
+    _write_text(out_dir / "partitions.json", _json_text([a.report for a in analyses]))
     print(f"analyzed {len(analyses)} graphs into {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -252,9 +250,7 @@ def _features_csv(analyses, catalog) -> str:
     writer = csv.writer(buffer)
     writer.writerow(["app_id", "label", *feature_names(catalog)])
     for a in analyses:
-        label = a.graph.ground_truth or ""
-        vector = a.features.as_array()
-        writer.writerow([a.graph.app_id, label, *(repr(float(x)) for x in vector)])
+        writer.writerow([a.app_id, a.label or "", *(repr(float(x)) for x in a.vectors[0])])
     return buffer.getvalue()
 
 
@@ -316,6 +312,7 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config(args)
+    thresholds = _parse_thresholds(args.sweep) if args.sweep else []
     if bool(args.features) == bool(args.paths):
         raise InputError("eval needs either graph paths or --features, not both")
 
@@ -327,37 +324,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "algorithm": args.algo,
     }
     if args.features:
-        if args.sweep:
+        if thresholds:
             raise InputError("--sweep needs graph paths (features must be re-extracted)")
         samples = read_features_csv(args.features)
-        payload["samples"] = len(samples)
-        payload["report"] = _cv_dict(
-            classify.cross_validate(samples, args.folds, args.k, args.seed)
-        )
     else:
         catalog = load_catalog(args.catalog)
-        graphs = pipeline.load_corpus(args.paths, catalog)
-        analyses = pipeline.analyze_corpus(graphs, catalog, config)
-        samples = pipeline.samples_from_analyses(analyses)
-        payload["samples"] = len(samples)
-        payload["report"] = _cv_dict(
-            classify.cross_validate(samples, args.folds, args.k, args.seed)
+        analyses = pipeline.analyze_corpus(
+            pipeline.read_graphs(args.paths, catalog), catalog, config, thresholds,
+            reports=False,
         )
-        if args.sweep:
-            thresholds = _parse_thresholds(args.sweep)
-            rows = classify.threshold_sweep(
-                [(a.graph, a.partition) for a in analyses],
-                catalog,
-                thresholds,
-                k=args.k,
-                folds=args.folds,
-                seed=args.seed,
-                denominator=args.coupling_denominator,
-            )
-            payload["sweep"] = [
-                {"threshold": row.threshold, "samples": row.sample_count, **_cv_dict(row.report)}
-                for row in rows
-            ]
+        samples, *swept = pipeline.samples_by_threshold(analyses)
+    payload["samples"] = len(samples)
+    payload["report"] = _cv_dict(classify.cross_validate(samples, args.folds, args.k, args.seed))
+    if thresholds:
+        rows = classify.threshold_sweep(
+            thresholds, swept, k=args.k, folds=args.folds, seed=args.seed
+        )
+        payload["sweep"] = [
+            {"threshold": row.threshold, "samples": row.sample_count, **_cv_dict(row.report)}
+            for row in rows
+        ]
     _emit(_json_text(payload), args.out)
     return EXIT_OK
 

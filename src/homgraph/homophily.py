@@ -189,10 +189,9 @@ def partition_suspicious(
     counts); one edge scan counts every pair. Coupling strictly above
     ``threshold`` filters the community as benign; at or below it stays
     suspicious. With no benign community every sensitive community is
-    suspicious and its coupling is recorded as 0.
+    suspicious and its coupling is recorded as 0. :func:`at_thresholds`
+    judges the result again at other thresholds without a new scan.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     missing = graph.node_ids - partition.assignment.keys()
     if missing or len(partition.assignment) != graph.node_count:
         raise ValueError("partition does not cover graph exactly")
@@ -210,8 +209,7 @@ def partition_suspicious(
     label.update(dict.fromkeys(benign, -1))
     e_a, e_b, s = _edge_counts(graph, label, len(sensitive_groups))
 
-    communities: list[SensitiveCommunity] = []
-    suspicious_union: set[int] = set()
+    coupled = []
     for k, members in enumerate(sensitive_groups):
         if benign:
             report = coupling_from_counts(
@@ -219,17 +217,43 @@ def partition_suspicious(
             )
         else:
             report = CouplingReport(len(members), 0, 0, 0, 0, 0.0, denominator)
-        verdict = FILTERED_BENIGN if report.c > threshold else SUSPICIOUS
-        if verdict == SUSPICIOUS:
-            suspicious_union.update(members)
-        communities.append(SensitiveCommunity(members, report, verdict))
+        coupled.append((members, report))
+    return _judge(graph, frozenset(benign), coupled, threshold, {})
 
-    return PartitionOutcome(
-        benign_nodes=frozenset(benign),
-        sensitive_communities=tuple(communities),
-        suspicious_subgraph=induced_subgraph(graph, suspicious_union),
-        threshold=threshold,
+
+def at_thresholds(
+    graph: CallGraph, outcome: PartitionOutcome, thresholds: Iterable[float]
+) -> tuple[PartitionOutcome, ...]:
+    """``outcome`` judged again at each threshold, without a new edge scan.
+
+    Coupling does not depend on the threshold, so each result equals
+    :func:`partition_suspicious` at that threshold on the graph and
+    partition that gave ``outcome``. Thresholds that leave the same
+    communities suspicious share one suspicious-subgraph object, which is
+    ``outcome``'s own when its verdicts are unchanged.
+    """
+    communities = outcome.sensitive_communities
+    subgraphs = {tuple(sc.verdict for sc in communities): outcome.suspicious_subgraph}
+    coupled = [(sc.nodes, sc.coupling) for sc in communities]
+    return tuple(_judge(graph, outcome.benign_nodes, coupled, t, subgraphs) for t in thresholds)
+
+
+def _judge(graph: CallGraph, benign: frozenset[int], coupled: list, threshold: float,
+           subgraphs: dict) -> PartitionOutcome:
+    """The outcome at ``threshold`` of (members, coupling) pairs. ``subgraphs``
+    holds the suspicious subgraph of each verdict tuple built so far."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    communities = tuple(
+        SensitiveCommunity(members, report,
+                           FILTERED_BENIGN if report.c > threshold else SUSPICIOUS)
+        for members, report in coupled
     )
+    key = tuple(sc.verdict for sc in communities)
+    if key not in subgraphs:
+        union = {n for sc in communities if sc.verdict == SUSPICIOUS for n in sc.nodes}
+        subgraphs[key] = induced_subgraph(graph, union)
+    return PartitionOutcome(benign, communities, subgraphs[key], threshold)
 
 
 def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:

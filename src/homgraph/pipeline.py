@@ -3,8 +3,10 @@
 One ``PipelineConfig`` carries the tunables of per-graph analysis; its
 defaults are the best-performing configuration (threshold 3, multilevel
 detection). The catalog is loaded by the caller, and classifier settings
-(k, folds) go straight to ``classify``. Corpus runs analyze graphs one
-after another, in the calling thread, and emit results in app_id order.
+(k, folds) go straight to ``classify``. Corpus runs stream: each graph is
+parsed, detected, coupled once for every threshold and featurized once per
+distinct suspicious union, and only its ``GraphAnalysis`` is kept before
+the next file is read. Results come out stably sorted by app_id.
 """
 
 from __future__ import annotations
@@ -12,18 +14,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import community, homophily
 from .classify import LabeledSample
-from .features import FeatureVector, featurize
-from .homophily import PartitionOutcome
-from .model import (
-    CallGraph,
-    InputError,
-    SensitiveApiCatalog,
-    load_graph,
-)
+from .features import featurize
+from .model import CallGraph, InputError, SensitiveApiCatalog, load_graph
 
 logger = logging.getLogger(__name__)
 
@@ -40,57 +38,72 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class GraphAnalysis:
-    """Everything the pipeline derives from one graph."""
+    """What is kept of one graph: features at the configured threshold, then
+    at each sweep threshold, and the partition report unless left out."""
 
-    graph: CallGraph
-    partition: community.CommunityPartition
-    outcome: PartitionOutcome
-    features: FeatureVector
+    app_id: str
+    label: str | None
+    vectors: tuple[np.ndarray, ...]
+    report: dict | None
 
 
 def analyze_graph(
-    graph: CallGraph, catalog: SensitiveApiCatalog, config: PipelineConfig
+    graph: CallGraph,
+    catalog: SensitiveApiCatalog,
+    config: PipelineConfig,
+    sweep: Sequence[float] = (),
+    report: bool = True,
 ) -> GraphAnalysis:
-    """Community detection, suspicious partition, and features for one graph."""
+    """Community detection, one coupling pass, and features per threshold."""
     partition = community.detect(graph, config.community_algorithm, config.seed)
     outcome = homophily.partition_suspicious(
         graph, partition, config.threshold, config.coupling_denominator
     )
+    outcomes = (outcome, *homophily.at_thresholds(graph, outcome, sweep))
+    # Outcomes with the same suspicious union share its subgraph object.
+    features: dict[int, np.ndarray] = {}
+    for o in outcomes:
+        if id(o.suspicious_subgraph) not in features:
+            features[id(o.suspicious_subgraph)] = featurize(o, catalog).as_array()
     return GraphAnalysis(
-        graph=graph,
-        partition=partition,
-        outcome=outcome,
-        features=featurize(outcome, catalog),
+        app_id=graph.app_id,
+        label=graph.ground_truth,
+        vectors=tuple(features[id(o.suspicious_subgraph)] for o in outcomes),
+        report=partition_report(graph, partition, outcome) if report else None,
     )
 
 
 def analyze_corpus(
-    graphs: Sequence[CallGraph],
+    graphs: Iterable[CallGraph],
     catalog: SensitiveApiCatalog,
     config: PipelineConfig,
+    sweep: Sequence[float] = (),
+    reports: bool = True,
 ) -> list[GraphAnalysis]:
-    """Analyze graphs in order; results sorted by app_id.
+    """Analyze graphs one at a time; results stably sorted by app_id.
 
-    A graph with invalid input is logged and skipped so one bad graph cannot
-    sink a corpus run; any other error is a fault and propagates.
+    Only its ``GraphAnalysis`` outlives a graph, so a lazy source such as
+    :func:`read_graphs` holds one graph in memory at a time. A graph with
+    invalid input is logged and skipped so one bad graph cannot sink a
+    corpus run; any other error is a fault and propagates.
     """
     results: list[GraphAnalysis] = []
     for graph in graphs:
         try:
-            results.append(analyze_graph(graph, catalog, config))
+            results.append(analyze_graph(graph, catalog, config, sweep, reports))
         except InputError as exc:
             logger.warning("skipping graph %r: %s", graph.app_id, exc)
-    results.sort(key=lambda a: a.graph.app_id)
+        del graph  # not kept alive while the next one loads
+    results.sort(key=lambda a: a.app_id)
     return results
 
 
-def load_corpus(
+def read_graphs(
     paths: Iterable[str | Path], catalog: SensitiveApiCatalog | None = None
-) -> list[CallGraph]:
-    """Load graph documents from files and/or directories of ``*.json``.
-
-    Unreadable or malformed documents are logged and skipped; loading fails
-    only when nothing at all could be read.
+) -> Iterator[CallGraph]:
+    """Parse graph documents from files and/or directories of ``*.json``
+    lazily, in order. Unreadable or malformed documents are logged and
+    skipped; reading fails at the end only if nothing could be read.
     """
     files: list[Path] = []
     for raw in paths:
@@ -99,39 +112,48 @@ def load_corpus(
             files.extend(sorted(p for p in path.glob("*.json") if p.name != "manifest.json"))
         else:
             files.append(path)
-    graphs: list[CallGraph] = []
+    read = 0
     for path in files:
         try:
-            graphs.append(load_graph(path, catalog))
+            graph = load_graph(path, catalog)
         except InputError as exc:
             logger.warning("skipping %s: %s", path, exc)
-    if not graphs:
-        raise InputError(f"no readable graph documents among {len(files)} file(s)")
-    graphs.sort(key=lambda g: g.app_id)
-    return graphs
-
-
-def samples_from_analyses(analyses: Sequence[GraphAnalysis]) -> list[LabeledSample]:
-    samples = []
-    for a in analyses:
-        if a.graph.ground_truth is None:
-            logger.warning("graph %r has no label; excluded from dataset", a.graph.app_id)
             continue
-        samples.append(
-            LabeledSample(a.graph.app_id, a.graph.ground_truth, a.features.as_array())
-        )
-    return samples
+        read += 1
+        yield graph
+        del graph  # not kept alive while the next one loads
+    if not read:
+        raise InputError(f"no readable graph documents among {len(files)} file(s)")
 
 
-def partition_report(analysis: GraphAnalysis) -> dict:
+def load_corpus(
+    paths: Iterable[str | Path], catalog: SensitiveApiCatalog | None = None
+) -> list[CallGraph]:
+    """Every graph :func:`read_graphs` yields, in memory, sorted by app_id."""
+    return sorted(read_graphs(paths, catalog), key=lambda g: g.app_id)
+
+
+def samples_by_threshold(analyses: Sequence[GraphAnalysis]) -> list[list[LabeledSample]]:
+    """One dataset per threshold, in ``GraphAnalysis.vectors`` order; an
+    unlabeled graph is logged and left out of every one."""
+    for a in analyses:
+        if a.label is None:
+            logger.warning("graph %r has no label; excluded from dataset", a.app_id)
+    labeled = [a for a in analyses if a.label is not None]
+    slots = len(analyses[0].vectors) if analyses else 1
+    return [[LabeledSample(a.app_id, a.label, a.vectors[i]) for a in labeled]
+            for i in range(slots)]
+
+
+def partition_report(graph: CallGraph, partition: community.CommunityPartition,
+                     outcome: homophily.PartitionOutcome) -> dict:
     """JSON-ready partition report for one analyzed graph."""
-    outcome = analysis.outcome
     return {
-        "app_id": analysis.graph.app_id,
-        "nodes": analysis.graph.node_count,
-        "edges": analysis.graph.edge_count,
-        "community_count": analysis.partition.community_count,
-        "modularity_q": analysis.partition.modularity_q,
+        "app_id": graph.app_id,
+        "nodes": graph.node_count,
+        "edges": graph.edge_count,
+        "community_count": partition.community_count,
+        "modularity_q": partition.modularity_q,
         "threshold": outcome.threshold,
         "benign_node_count": len(outcome.benign_nodes),
         "sensitive_communities": [

@@ -8,7 +8,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from homgraph import community
 from homgraph.model import CallGraph, FunctionNode, SensitiveApiCatalog, normalize
 
 
@@ -37,11 +36,6 @@ def random_digraph(rng: random.Random, n, edge_prob=0.15, sensitive_count=0):
     ]
     sensitive = rng.sample(range(n), sensitive_count) if sensitive_count else ()
     return make_graph(n, edges, sensitive=sensitive)
-
-
-def detected(graphs, algorithm=community.MULTILEVEL, seed=0):
-    """(graph, partition) pairs, as ``eval --sweep`` hands them to the sweep."""
-    return [(g, community.detect(g, algorithm, seed)) for g in graphs]
 
 
 def barbell():

@@ -37,11 +37,15 @@ def corpus(catalog):
     return generate.generate_corpus(generate.SyntheticSpec(), 200, 200, catalog)
 
 
+# Criterion 7's sweep; the analyses carry one feature vector per threshold.
+SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0, 1e9)
+
+
 @pytest.fixture(scope="module")
 def analyses(corpus, catalog):
     config = pipeline.PipelineConfig()
     start = time.perf_counter()
-    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, config)
+    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, config, SWEEP)
     return results, time.perf_counter() - start
 
 
@@ -147,7 +151,7 @@ def test_criterion_5_modularity_and_louvain():
 def test_criterion_6_end_to_end_detection(corpus, analyses, catalog):
     results, analyze_seconds = analyses
     start = time.perf_counter()
-    samples = pipeline.samples_from_analyses(results)
+    samples = pipeline.samples_by_threshold(results)[0]
     cv = classify.cross_validate(samples, folds=10, k=1, seed=0)
     elapsed = analyze_seconds + (time.perf_counter() - start)
     ok = (
@@ -162,8 +166,8 @@ def test_criterion_6_end_to_end_detection(corpus, analyses, catalog):
 
 def test_criterion_7_threshold_sweep_shape(analyses, catalog):
     results, _ = analyses
-    pairs = [(a.graph, a.partition) for a in results]
-    rows = classify.threshold_sweep(pairs, catalog, [1.0, 2.0, 3.0, 4.0, 5.0, 1e9])
+    _, *datasets = pipeline.samples_by_threshold(results)
+    rows = classify.threshold_sweep(SWEEP, datasets)
     five = [r for r in rows if r.threshold != 1e9]
     f_at_3 = next(r.report.macro.f_measure for r in rows if r.threshold == 3.0)
     f_extreme = next(r.report.macro.f_measure for r in rows if r.threshold == 1e9)
@@ -174,12 +178,12 @@ def test_criterion_7_threshold_sweep_shape(analyses, catalog):
 
 def test_criterion_8_suspicious_recovery(corpus, analyses):
     results, _ = analyses
-    by_id = {a.graph.app_id: a for a in results}
+    by_id = {a.app_id: a for a in results}
     scores = []
     for graph, truth in corpus:
         if truth.label != "malware" or len(scores) >= 100:
             continue
-        susp = set(by_id[graph.app_id].outcome.suspicious_subgraph.node_ids)
+        susp = set(by_id[graph.app_id].report["suspicious_nodes"])
         planted = set(truth.planted_nodes)
         union = susp | planted
         scores.append(len(susp & planted) / len(union) if union else 0.0)
@@ -229,6 +233,6 @@ def test_criterion_10_large_graph_latency(catalog):
     start = time.perf_counter()
     analysis = pipeline.analyze_graph(graph, catalog, config)
     elapsed = time.perf_counter() - start
-    ok = size_ok and elapsed <= 5.0 and analysis.features.dimension == 70
+    ok = size_ok and elapsed <= 5.0 and analysis.vectors[0].shape == (70,)
     report(10, "analyze on a ~5,600-node / ~12,100-edge graph within 5 s", ok,
            f"{graph.node_count} nodes, {graph.edge_count} edges, {elapsed:.2f} s")

@@ -1,0 +1,64 @@
+"""The benchmark's name contract with the program.
+
+``perfbench/tracer.py`` wraps homgraph's public functions by name, and
+``perfbench/run.py --trace 1`` drops every per-layer metric whose wrapped
+name is gone (the tracer returns it as None). A rename in ``src/`` can
+therefore remove a metric that ``BENCHMARK.json`` declares. This runs a
+tiny version of every workload's commands under the tracer and checks
+that each declared metric is produced.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import homgraph
+from homgraph.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+# Measured by run.py itself, on traced corpus runs only, through this entry point.
+LABEL_PROPAGATION = "community.label_propagation_s"
+
+
+@pytest.fixture
+def installed_tracer():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def test_every_per_layer_metric_is_produced(installed_tracer, tmp_path):
+    corpus = tmp_path / "corpus"
+    covert = corpus / "malware-0000.json"
+    commands = [
+        ["gen", "--benign", "3", "--covert", "3", "--seed", "2", "--out", corpus],
+        ["analyze", corpus, "--out", tmp_path / "analysis"],
+        ["eval", corpus, "--folds", "3", "--sweep", "1,3", "--out", tmp_path / "eval.json"],
+        ["partition", covert, "--out", tmp_path / "partition.json"],
+        ["covertness", covert, "--out", tmp_path / "covertness.json"],
+    ]
+    for argv in commands:
+        installed_tracer.begin_command()
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    metrics = installed_tracer.metrics()
+    assert sorted(k for k, v in metrics.items() if v is None) == []
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {
+        m["name"] for m in spec["per_layer"]
+        if not m["name"].startswith("traced.") and m["name"] != LABEL_PROPAGATION
+    }
+    assert sorted(declared - metrics.keys()) == []
+
+
+def test_label_propagation_entry_point():
+    assert callable(getattr(homgraph, "detect_label_propagation", None))

@@ -1,5 +1,6 @@
 import logging
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from homgraph.classify import (
     threshold_sweep,
 )
 from homgraph.model import BENIGN, MALWARE, load_catalog
-from homgraph import generate
-
-from conftest import detected
+from homgraph import generate, pipeline
 
 
 def sample(app_id, label, *coords):
@@ -171,30 +170,32 @@ def small_corpus():
     catalog = load_catalog()
     spec = generate.SyntheticSpec()
     corpus = generate.generate_corpus(spec, 12, 12, catalog)
-    return detected([g for g, _ in corpus]), catalog
+    return [g for g, _ in corpus], catalog
 
 
 class TestThresholdSweep:
-    def test_empty_threshold_list(self, small_corpus):
-        pairs, catalog = small_corpus
-        assert threshold_sweep(pairs, catalog, []) == ()
+    def test_empty_threshold_list(self):
+        assert threshold_sweep([], []) == ()
+        with pytest.raises(ValueError, match="1 thresholds but 0 datasets"):
+            threshold_sweep([1.0], [])
 
     def test_row_per_threshold(self, small_corpus):
-        pairs, catalog = small_corpus
-        rows = threshold_sweep(pairs, catalog, [1.0, 3.0], folds=4)
+        graphs, catalog = small_corpus
+        analyses = pipeline.analyze_corpus(graphs, catalog, pipeline.PipelineConfig(),
+                                           (1.0, 3.0))
+        _, *datasets = pipeline.samples_by_threshold(analyses)
+        rows = threshold_sweep([1.0, 3.0], datasets, folds=4)
         assert [r.threshold for r in rows] == [1.0, 3.0]
         assert all(r.sample_count == 24 for r in rows)
+        assert [r.report for r in rows] == [cross_validate(d, 4, 1, 0) for d in datasets]
 
     def test_unlabeled_graph_skipped_not_fatal(self, small_corpus, caplog):
-        pairs, catalog = small_corpus
-        graph, partition = pairs[0]
-        broken = graph.__class__(
-            app_id="broken",
-            nodes=graph.nodes,
-            edges=graph.edges,
-            ground_truth=None,
-        )
+        graphs, catalog = small_corpus
+        broken = replace(graphs[0], app_id="broken", ground_truth=None)
+        analyses = pipeline.analyze_corpus([broken, *graphs], catalog,
+                                           pipeline.PipelineConfig(), (3.0,))
         with caplog.at_level(logging.WARNING):
-            rows = threshold_sweep([(broken, partition), *pairs], catalog, [3.0], folds=4)
+            _, dataset = pipeline.samples_by_threshold(analyses)
+        rows = threshold_sweep([3.0], [dataset], folds=4)
         assert rows[0].sample_count == 24
         assert any("broken" in rec.getMessage() for rec in caplog.records)

@@ -3,16 +3,18 @@ import multiprocessing
 import subprocess
 import sys
 import threading
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import homgraph
-from homgraph import classify, community, homophily, pipeline
+from homgraph import community, homophily, pipeline
 from homgraph.cli import main, read_features_csv
-from homgraph.model import load_catalog, serialize_graph
+from homgraph.model import InputError, load_catalog, serialize_graph
 
-from conftest import detected, make_graph
+from conftest import make_graph
 
 GEN_FLAGS = ["--benign", "3", "--covert", "3", "--seed", "7"]
 
@@ -286,6 +288,120 @@ class TestEval:
                    "--sweep", "1,3") == 2
 
 
+class TestSweep:
+    def test_bad_list_exits_before_any_graph_is_read(self, tmp_path, monkeypatch, capsys):
+        corpus = gen_corpus(tmp_path)
+        calls = []
+        monkeypatch.setattr(community, "detect", lambda *args: calls.append(args))
+        for bad in ("0,1", "1,x", " , ", "1,nan", "-2"):
+            capsys.readouterr()
+            assert run("eval", str(corpus), "--sweep", bad) == 2
+            assert "--sweep" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("denominator", homophily.DENOMINATORS)
+    def test_rows_equal_single_threshold_runs(self, tmp_path, denominator):
+        corpus = gen_corpus(tmp_path)
+        flags = ["--folds", "3", "--coupling-denominator", denominator]
+        thresholds = ["1", "2", "3", "4", "5"]
+        out = tmp_path / "sweep.json"
+        assert run("eval", str(corpus), *flags, "--sweep", ",".join(thresholds),
+                   "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["sweep"]
+        assert len(rows) == len(thresholds)
+        assert len({json.dumps(row["macro"]) for row in rows}) > 1
+        for t, row in zip(thresholds, rows):
+            single = tmp_path / f"t{t}.json"
+            assert run("eval", str(corpus), *flags, "--threshold", t,
+                       "--out", str(single)) == 0
+            payload = json.loads(single.read_text())
+            assert row == {"threshold": float(t), "samples": payload["samples"],
+                           **payload["report"]}
+
+
+def track_loads(monkeypatch):
+    """Wrap ``pipeline.load_graph``; return, per load, how many graphs loaded
+    before it are still alive when it starts."""
+    refs, alive = [], []
+    real = pipeline.load_graph
+
+    def load_graph(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        graph = real(*args, **kwargs)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(pipeline, "load_graph", load_graph)
+    return alive
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("command,max_per_graph", [
+        (["analyze", "--out", "analysis"], 1),
+        (["eval", "--folds", "3", "--sweep", "1,2,3,4,5", "--out", "eval.json"], 2),
+    ], ids=["analyze", "eval_sweep"])
+    def test_one_graph_in_memory(self, tmp_path, monkeypatch, command, max_per_graph):
+        corpus = gen_corpus(tmp_path)
+        alive = track_loads(monkeypatch)
+        featurized = Counter()
+        real = pipeline.featurize
+
+        def featurize(outcome, catalog):
+            featurized[outcome.suspicious_subgraph.app_id] += 1
+            return real(outcome, catalog)
+
+        monkeypatch.setattr(pipeline, "featurize", featurize)
+        name, *flags = command
+        flags[-1] = str(tmp_path / flags[-1])
+        assert run(name, str(corpus), *flags) == 0
+        assert alive == [0] * 6
+        # Each generated graph has one sensitive community, so the main
+        # threshold and the sweep give at most two suspicious unions.
+        assert len(featurized) == 6
+        assert max(featurized.values()) <= max_per_graph
+
+    def test_duplicate_app_ids_keep_argument_order(self, tmp_path):
+        corpus = gen_corpus(tmp_path)
+        twin_dir = tmp_path / "twins"
+        twin_dir.mkdir()
+        twin = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)],
+                          app_id="benign-0001", label="malware")
+        (twin_dir / "twin.json").write_text(serialize_graph(twin))
+        big = len(json.loads((corpus / "benign-0001.json").read_text())["nodes"])
+        for dirs, nodes, labels in (
+            ((corpus, twin_dir), [big, 6], ["benign", "malware"]),
+            ((twin_dir, corpus), [6, big], ["malware", "benign"]),
+        ):
+            out = tmp_path / f"analysis-{dirs[0].name}"
+            assert run("analyze", *map(str, dirs), "--out", str(out)) == 0
+            reports = json.loads((out / "partitions.json").read_text())
+            samples = read_features_csv(out / "features.csv")
+            ids = [r["app_id"] for r in reports]
+            assert ids == sorted(ids) == [s.app_id for s in samples]
+            assert [r["nodes"] for r in reports if r["app_id"] == "benign-0001"] == nodes
+            assert [s.label for s in samples if s.app_id == "benign-0001"] == labels
+
+    def test_error_precedence(self, tmp_path, monkeypatch, capsys):
+        corpus = gen_corpus(tmp_path)
+        junk = tmp_path / "junk"
+        junk.mkdir()
+        (junk / "a.json").write_text("{")
+        (junk / "b.json").write_text("[]")
+
+        def detect(*args):
+            raise InputError("synthetic bad input")
+
+        monkeypatch.setattr(community, "detect", detect)
+        capsys.readouterr()
+        for command in ("analyze", "eval"):
+            assert run(command, str(junk), "--out", str(tmp_path / command)) == 2
+            assert "no readable graph documents among 2 file(s)" in capsys.readouterr().err
+        assert run("analyze", str(junk), str(corpus), "--out", str(tmp_path / "a")) == 2
+        assert "every graph in the corpus failed to analyze" in capsys.readouterr().err
+        assert run("eval", str(junk), str(corpus), "--out", str(tmp_path / "e")) == 2
+        assert "need both classes, got []" in capsys.readouterr().err
+
+
 class TestCrossProcessDeterminism:
     def test_gen_identical_across_hash_seeds(self, tmp_path):
         # The children import the same homgraph as this process: src/ in a
@@ -357,18 +473,18 @@ class TestInternalErrorsNotDropped:
 
     def test_threshold_sweep_raises(self, tmp_path, monkeypatch):
         corpus = gen_corpus(tmp_path)
-        pairs = detected(pipeline.load_corpus([corpus]))
-        target = pairs[0][0].app_id
-        real = homophily.partition_suspicious
+        target = min(p.stem for p in corpus.glob("*.json") if p.name != "manifest.json")
+        real = homophily.at_thresholds
 
-        def partition_suspicious(graph, *args):
+        def at_thresholds(graph, *args):
             if graph.app_id == target:
                 raise KeyError("synthetic fault")
             return real(graph, *args)
 
-        monkeypatch.setattr(homophily, "partition_suspicious", partition_suspicious)
+        monkeypatch.setattr(homophily, "at_thresholds", at_thresholds)
         with pytest.raises(KeyError):
-            classify.threshold_sweep(pairs, load_catalog(), [1.0, 3.0], folds=2)
+            pipeline.analyze_corpus(pipeline.read_graphs([corpus]), load_catalog(),
+                                    pipeline.PipelineConfig(), (1.0, 3.0))
 
 
 class TestFeatureFileValidation:

@@ -12,6 +12,7 @@ from homgraph.community import (
     detect_multilevel,
     modularity,
 )
+from homgraph.homophily import partition_suspicious
 from homgraph.model import load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
@@ -353,3 +354,32 @@ class TestCompareAlgorithms:
         rows = compare_algorithms([barbell()], seed=0)
         assert isinstance(rows[0], AlgorithmComparison)
         assert rows[0].graph_count == 1
+
+
+class TestPartitionCover:
+    def test_every_node_in_exactly_one_community(self):
+        # Both detectors, and the benign/sensitive split built on them.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def cover(data):
+            n = data.draw(st.integers(1, 30))
+            arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            sensitive = data.draw(st.sets(st.integers(0, n - 1)))
+            g = make_graph(n, data.draw(st.lists(arc, max_size=90)), sensitive=sensitive)
+            seed = data.draw(st.integers(0, 2**16))
+            for algorithm in community.ALGORITHMS:
+                part = community.detect(g, algorithm, seed)
+                groups = part.communities()
+                assert part.assignment.keys() == g.node_ids
+                assert len(groups) == part.community_count
+                assert sum(map(len, groups)) == n
+                assert frozenset().union(*groups) == g.node_ids
+                outcome = partition_suspicious(g, part, 3.0)
+                parts = [outcome.benign_nodes, *(sc.nodes for sc in outcome.sensitive_communities)]
+                assert sum(map(len, parts)) == n
+                assert frozenset().union(*parts) == g.node_ids
+
+        cover()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from homgraph.homophily import (
     FILTERED_BENIGN,
     SUSPICIOUS,
     CovertnessError,
+    at_thresholds,
     coupling,
     coupling_from_counts,
     covertness,
@@ -19,7 +21,7 @@ from homgraph.homophily import (
     proportion_category,
 )
 
-from homgraph.model import SensitiveApiCatalog, apply_catalog
+from homgraph.model import SensitiveApiCatalog, apply_catalog, induced_subgraph
 
 from conftest import make_graph, random_digraph
 from oracles import brute_census, brute_coupling, brute_reverse_reach
@@ -122,6 +124,35 @@ class TestCoupling:
             assert report.chance_expectation <= 0.5 + 1e-12
             assert report.cross_fraction <= 1.0 + 1e-12
             assert report.c >= 0.0
+
+    def test_count_properties(self):
+        # e_a + e_b + s is the union's edge count; swapping the parts swaps
+        # e_a and e_b and keeps c; c is 0 exactly when s is 0 (or, with the
+        # internal denominator, when no edge lies inside a part).
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def counts(data):
+            n = data.draw(st.integers(2, 14))
+            arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            g = make_graph(n, data.draw(st.lists(arc, max_size=60)))
+            side = ["a", "b", *data.draw(st.lists(st.sampled_from("abx"),
+                                                   min_size=n - 2, max_size=n - 2))]
+            a = {i for i, p in enumerate(side) if p == "a"}
+            b = {i for i, p in enumerate(side) if p == "b"}
+            union_edges = len(induced_subgraph(g, a | b).undirected_edges)
+            for denominator in DENOMINATORS:
+                ab = coupling(g, a, b, denominator)
+                ba = coupling(g, b, a, denominator)
+                assert ab.e_a + ab.e_b + ab.s == union_edges
+                assert (ba.e_a, ba.e_b, ba.s) == (ab.e_b, ab.e_a, ab.s)
+                assert ba.c == pytest.approx(ab.c, rel=1e-12, abs=0.0)
+                no_den = denominator == DENOMINATOR_INTERNAL and ab.e_a + ab.e_b == 0
+                assert (ab.c == 0.0) == (ab.s == 0 or no_den)
+
+        counts()
 
 
 def seven_community_graph():
@@ -238,6 +269,9 @@ class TestPartitionSuspicious:
         g, partition, _ = seven_community_graph()
         with pytest.raises(ValueError):
             partition_suspicious(g, partition, threshold=0.0)
+        outcome = partition_suspicious(g, partition, threshold=3.0)
+        with pytest.raises(ValueError):
+            at_thresholds(g, outcome, [1.0, 0.0])
 
 
 # Entries of different lengths, some inside others, so one name can hit several.
@@ -344,6 +378,42 @@ class TestOnePassPartition:
         vector = featurize(outcome, SCATTER_CATALOG)
         assert vector.presence.tolist() == presence
         assert vector.ratios.tolist() == pytest.approx(ratios, abs=1e-12)
+
+
+class TestAtThresholds:
+    """at_thresholds judges one coupling pass at other thresholds; each
+    result must equal a fresh partition_suspicious run."""
+
+    @pytest.mark.parametrize("seed,benign", [(3, 8), (17, 8), (5, 0)])
+    @pytest.mark.parametrize("denominator", DENOMINATORS)
+    def test_equals_partition_suspicious(self, seed, benign, denominator):
+        graph, partition = scattered_case(seed, benign_communities=benign)
+        base = partition_suspicious(graph, partition, 3.0, denominator)
+        communities = base.sensitive_communities
+        assert len(communities) >= 50
+        positive = sorted({sc.coupling.c for sc in communities if sc.coupling.c > 0})
+        assert bool(positive) == bool(benign)
+        exact = positive[len(positive) // 2] if positive else 1.0
+        thresholds = [0.25, 1.0, math.nextafter(exact, 0.0), exact, 3.0, 5.0, 1e9]
+        outcomes = at_thresholds(graph, base, thresholds)
+        for threshold, outcome in zip(thresholds, outcomes):
+            assert outcome == partition_suspicious(graph, partition, threshold, denominator)
+        if positive:
+            # Coupling strictly above the threshold filters: c itself keeps it.
+            k = next(i for i, sc in enumerate(communities) if sc.coupling.c == exact)
+            below, at = outcomes[2], outcomes[3]
+            assert below.sensitive_communities[k].verdict == FILTERED_BENIGN
+            assert at.sensitive_communities[k].verdict == SUSPICIOUS
+        # One suspicious subgraph per distinct union, shared with the base.
+        for first in (base, *outcomes):
+            for second in outcomes:
+                same = [sc.verdict for sc in first.sensitive_communities] == [
+                    sc.verdict for sc in second.sensitive_communities]
+                assert (first.suspicious_subgraph is second.suspicious_subgraph) == same
+
+    def test_no_thresholds(self):
+        graph, partition = scattered_case(3)
+        assert at_thresholds(graph, partition_suspicious(graph, partition, 3.0), []) == ()
 
 
 class TestMaliciousPart:
