@@ -43,7 +43,6 @@ from .model import (
     load_catalog,
     load_graph,
     matching_entries,
-    normalize,
     parse_graph,
     serialize_graph,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "matching_entries",
     "metrics",
     "modularity",
-    "normalize",
     "parse_graph",
     "partition_suspicious",
     "presence_features",

@@ -42,36 +42,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--catalog", metavar="FILE", help="sensitive-API catalog file")
-    parser.add_argument("--threshold", type=float, default=3.0,
-                        help="coupling threshold (default 3)")
-    parser.add_argument("--algo", choices=community.ALGORITHMS,
-                        default=community.MULTILEVEL, help="community detection algorithm")
-    parser.add_argument("--k", type=int, default=1, help="kNN neighbor count (default 1)")
-    parser.add_argument("--folds", type=int, default=10,
-                        help="cross-validation folds (default 10)")
-    parser.add_argument("--seed", type=int, default=0, help="pseudorandom seed (default 0)")
-    parser.add_argument("--coupling-denominator", choices=homophily.DENOMINATORS,
-                        default=homophily.DENOMINATOR_TOTAL,
-                        help="edge denominator of the coupling fraction")
-    parser.add_argument("--hops", type=int, default=1,
-                        help="caller hops in the malicious part (default 1)")
-    parser.add_argument("--out", metavar="PATH", help="output file or directory")
+# Flag definitions, by name. Each subcommand takes only the ones its command
+# function reads, plus --out, so no flag is accepted and then ignored.
+_FLAGS = {
+    "--catalog": dict(metavar="FILE", help="sensitive-API catalog file"),
+    "--threshold": dict(type=float, default=3.0, help="coupling threshold (default 3)"),
+    "--k": dict(type=int, default=1, help="kNN neighbor count (default 1)"),
+    "--folds": dict(type=int, default=10, help="cross-validation folds (default 10)"),
+    "--seed": dict(type=int, default=0, help="pseudorandom seed (default 0)"),
+    "--coupling-denominator": dict(choices=homophily.DENOMINATORS,
+                                   default=homophily.DENOMINATOR_TOTAL,
+                                   help="edge denominator of the coupling fraction"),
+    "--hops": dict(type=int, default=1, help="caller hops in the malicious part (default 1)"),
+    "--out": dict(metavar="PATH", help="output file or directory"),
+}
+_ANALYSIS_FLAGS = ("--catalog", "--threshold", "--seed", "--coupling-denominator")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in (*names, "--out"):
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise InputError(f"--threshold must be positive, got {args.threshold}")
-    if args.hops < 0:
-        raise InputError(f"--hops must be non-negative, got {args.hops}")
-    if args.k < 1:
-        raise InputError(f"--k must be at least 1, got {args.k}")
-    if args.folds < 2:
-        raise InputError(f"--folds must be at least 2, got {args.folds}")
     return pipeline.PipelineConfig(
         threshold=args.threshold,
-        community_algorithm=args.algo,
         seed=args.seed,
         coupling_denominator=args.coupling_denominator,
     )
@@ -102,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic corpus")
-    _common_flags(p_gen)
+    _add_flags(p_gen, "--catalog", "--seed")
     defaults = generate.SyntheticSpec()
     p_gen.add_argument("--benign", type=int, default=0, help="benign graph count")
     p_gen.add_argument("--covert", type=int, default=0, help="covert graph count")
@@ -123,29 +120,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_comm = sub.add_parser("communities", help="compare community detection algorithms")
-    _common_flags(p_comm)
+    _add_flags(p_comm, "--seed")
     p_comm.add_argument("paths", nargs="+", metavar="GRAPH",
                         help="graph documents or directories")
     p_comm.set_defaults(func=cmd_communities)
 
     p_part = sub.add_parser("partition", help="partition one graph and report verdicts")
-    _common_flags(p_part)
+    _add_flags(p_part, *_ANALYSIS_FLAGS)
     p_part.add_argument("path", metavar="GRAPH")
     p_part.set_defaults(func=cmd_partition)
 
     p_cov = sub.add_parser("covertness", help="covertness profile of one graph")
-    _common_flags(p_cov)
+    _add_flags(p_cov, "--catalog", "--coupling-denominator", "--hops")
     p_cov.add_argument("path", metavar="GRAPH")
     p_cov.set_defaults(func=cmd_covertness)
 
     p_an = sub.add_parser("analyze", help="feature records and partition reports")
-    _common_flags(p_an)
+    _add_flags(p_an, *_ANALYSIS_FLAGS)
     p_an.add_argument("paths", nargs="+", metavar="GRAPH",
                       help="graph documents or directories")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ev = sub.add_parser("eval", help="cross-validated metrics over a corpus")
-    _common_flags(p_ev)
+    _add_flags(p_ev, *_ANALYSIS_FLAGS, "--k", "--folds")
     p_ev.add_argument("paths", nargs="*", metavar="GRAPH",
                       help="graph documents or directories")
     p_ev.add_argument("--features", metavar="CSV",
@@ -194,8 +191,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    _config(args)
-    graphs = pipeline.load_corpus(args.paths, load_catalog(args.catalog))
+    graphs = pipeline.load_corpus(args.paths)
     rows = community.compare_algorithms(graphs, args.seed)
     for row in rows:
         print(
@@ -223,7 +219,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_covertness(args: argparse.Namespace) -> int:
-    _config(args)
+    if args.hops < 0:
+        raise InputError(f"--hops must be non-negative, got {args.hops}")
     graph = load_graph(args.path, load_catalog(args.catalog))
     report = homophily.covertness(graph, args.hops, args.coupling_denominator)
     _emit(_json_text(pipeline.covertness_report_dict(graph, report)), args.out)
@@ -312,6 +309,10 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config(args)
+    if args.k < 1:
+        raise InputError(f"--k must be at least 1, got {args.k}")
+    if args.folds < 2:
+        raise InputError(f"--folds must be at least 2, got {args.folds}")
     thresholds = _parse_thresholds(args.sweep) if args.sweep else []
     if bool(args.features) == bool(args.paths):
         raise InputError("eval needs either graph paths or --features, not both")
@@ -321,7 +322,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "k": args.k,
         "folds": args.folds,
         "threshold": args.threshold,
-        "algorithm": args.algo,
+        "algorithm": community.MULTILEVEL,
     }
     if args.features:
         if thresholds:

@@ -22,7 +22,6 @@ MAX_LABEL_SWEEPS = 100
 
 MULTILEVEL = "multilevel"
 LABEL_PROPAGATION = "label_propagation"
-ALGORITHMS = (MULTILEVEL, LABEL_PROPAGATION)
 
 
 class ModularityUndefinedError(ValueError):
@@ -307,20 +306,6 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     return _dense_partition(graph, labels)
 
 
-_DETECTORS = {
-    MULTILEVEL: detect_multilevel,
-    LABEL_PROPAGATION: detect_label_propagation,
-}
-
-
-def detect(graph: CallGraph, algorithm: str, seed: int = 0) -> CommunityPartition:
-    try:
-        detector = _DETECTORS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown community algorithm {algorithm!r}") from None
-    return detector(graph, seed)
-
-
 def compare_algorithms(
     graphs: list[CallGraph], seed: int = 0
 ) -> tuple[AlgorithmComparison, ...]:
@@ -328,8 +313,8 @@ def compare_algorithms(
     if not graphs:
         raise ValueError("compare_algorithms needs at least one graph")
     rows = []
-    for name in ALGORITHMS:
-        detector = _DETECTORS[name]
+    for name, detector in ((MULTILEVEL, detect_multilevel),
+                           (LABEL_PROPAGATION, detect_label_propagation)):
         total_q = 0.0
         total_t = 0.0
         for g in graphs:

@@ -70,11 +70,6 @@ class TriadCensus:
     edgeless_triples: int
     node_count: int
 
-    @property
-    def triple_count(self) -> int:
-        n = self.node_count
-        return n * (n - 1) * (n - 2) // 6
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:

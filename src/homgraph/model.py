@@ -61,9 +61,9 @@ class FunctionNode:
 class CallGraph:
     """Immutable directed call graph.
 
-    ``nodes`` are ordered by ascending id and ``edges`` are sorted and
-    de-duplicated once the graph has passed through :func:`normalize`.
-    Induced subgraphs may be empty; graphs read from the wire format are
+    In a normalized graph, as :func:`parse_graph` and the generator build
+    it, ``nodes`` are ordered by ascending id and ``edges`` are sorted,
+    de-duplicated and free of self-loops. Induced subgraphs may be empty; graphs read from the wire format are
     required to have at least one node.
     """
 
@@ -83,10 +83,6 @@ class CallGraph:
     @cached_property
     def node_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes)
-
-    @cached_property
-    def nodes_by_id(self) -> dict[int, FunctionNode]:
-        return {n.id: n for n in self.nodes}
 
     @cached_property
     def sensitive_ids(self) -> frozenset[int]:
@@ -217,23 +213,6 @@ def parse_catalog(text: str, source: str = "<memory>") -> SensitiveApiCatalog:
     return SensitiveApiCatalog(entries=tuple(entries), source=source)
 
 
-def normalize(graph: CallGraph) -> CallGraph:
-    """Return the analysis-ready form of ``graph``.
-
-    Drops self-loops, collapses duplicate directed edges, sorts nodes by id
-    and edges lexicographically. Idempotent.
-    """
-    nodes = tuple(sorted(graph.nodes, key=lambda n: n.id))
-    ids = {n.id for n in nodes}
-    edges = tuple(sorted({(u, v) for u, v in graph.edges if u != v}))
-    for u, v in edges:
-        if u not in ids or v not in ids:
-            raise GraphFormatError(
-                f"graph {graph.app_id!r}: edge ({u}, {v}) references unknown node"
-            )
-    return replace(graph, nodes=nodes, edges=edges)
-
-
 def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
     """Recompute every node's sensitivity flag from ``catalog``."""
     nodes = tuple(
@@ -259,8 +238,8 @@ def parse_graph(
     """Parse one wire-format document into its normalized graph.
 
     When ``catalog`` is given, sensitivity flags are recomputed from it;
-    otherwise flags pre-set in the document are kept. The result equals
-    :func:`normalize` (then :func:`apply_catalog`) of the document as read.
+    otherwise flags pre-set in the document are kept, so the result with a
+    catalog equals :func:`apply_catalog` of the result without one.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")

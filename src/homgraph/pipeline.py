@@ -1,8 +1,8 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
 One ``PipelineConfig`` carries the tunables of per-graph analysis; its
-defaults are the best-performing configuration (threshold 3, multilevel
-detection). The catalog is loaded by the caller, and classifier settings
+defaults are the best-performing configuration (threshold 3). Communities
+always come from multilevel detection. The catalog is loaded by the caller, and classifier settings
 (k, folds) go straight to ``classify``. Corpus runs stream: each graph is
 parsed, detected, coupled once for every threshold and featurized once per
 distinct suspicious union, and only its ``GraphAnalysis`` is kept before
@@ -31,7 +31,6 @@ class PipelineConfig:
     """Knobs of per-graph analysis; defaults match the reference setup."""
 
     threshold: float = 3.0
-    community_algorithm: str = community.MULTILEVEL
     seed: int = 0
     coupling_denominator: str = homophily.DENOMINATOR_TOTAL
 
@@ -54,8 +53,8 @@ def analyze_graph(
     sweep: Sequence[float] = (),
     report: bool = True,
 ) -> GraphAnalysis:
-    """Community detection, one coupling pass, and features per threshold."""
-    partition = community.detect(graph, config.community_algorithm, config.seed)
+    """Multilevel detection, one coupling pass, and features per threshold."""
+    partition = community.detect_multilevel(graph, config.seed)
     outcome = homophily.partition_suspicious(
         graph, partition, config.threshold, config.coupling_denominator
     )

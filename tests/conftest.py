@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from homgraph.model import CallGraph, FunctionNode, SensitiveApiCatalog, normalize
+from homgraph.model import CallGraph, FunctionNode, SensitiveApiCatalog
+from oracles import normalize
 
 
 def make_graph(n, edges, sensitive=(), names=None, app_id="test", label=None):

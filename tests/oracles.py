@@ -7,17 +7,37 @@ and Louvain local moving re-evaluates every node on every sweep. Everything
 here is slow and only suitable for test sizes. Catalog hits are plain
 substring tests, Louvain's per-pass Q is recomputed from every edge of the
 level, and a second census classifies every connected triple one at a time
-with the production code table.
+with the production code table. Graphs are normalized in plain passes over
+nodes and edges rather than while parsing.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES, _tricode
-from homgraph.model import CallGraph, SensitiveApiCatalog
+from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
+
+
+def normalize(graph: CallGraph) -> CallGraph:
+    """Return the normalized form of ``graph`` in two plain passes.
+
+    Drops self-loops, collapses duplicate directed edges, sorts nodes by id
+    and edges lexicographically. Idempotent. The reference for the graphs
+    ``parse_graph`` builds in one pass.
+    """
+    nodes = tuple(sorted(graph.nodes, key=lambda n: n.id))
+    ids = {n.id for n in nodes}
+    edges = tuple(sorted({(u, v) for u, v in graph.edges if u != v}))
+    for u, v in edges:
+        if u not in ids or v not in ids:
+            raise GraphFormatError(
+                f"graph {graph.app_id!r}: edge ({u}, {v}) references unknown node"
+            )
+    return replace(graph, nodes=nodes, edges=edges)
 
 
 def classify_triple(succ: dict[int, set[int]], a: int, b: int, c: int) -> str:

@@ -4,8 +4,9 @@
 ``perfbench/run.py --trace 1`` drops every per-layer metric whose wrapped
 name is gone (the tracer returns it as None). A rename in ``src/`` can
 therefore remove a metric that ``BENCHMARK.json`` declares. This runs a
-tiny version of every workload's commands under the tracer and checks
-that each declared metric is produced.
+tiny version of every workload's commands, and of every other
+subcommand, under the tracer and checks that each declared metric is
+produced.
 """
 
 import json
@@ -46,6 +47,7 @@ def test_every_per_layer_metric_is_produced(installed_tracer, tmp_path):
         ["eval", corpus, "--folds", "3", "--sweep", "1,3", "--out", tmp_path / "eval.json"],
         ["partition", covert, "--out", tmp_path / "partition.json"],
         ["covertness", covert, "--out", tmp_path / "covertness.json"],
+        ["communities", corpus, "--out", tmp_path / "communities.json"],
     ]
     for argv in commands:
         installed_tracer.begin_command()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import homgraph
 from homgraph import community, homophily, pipeline
-from homgraph.cli import main, read_features_csv
+from homgraph.cli import build_parser, main, read_features_csv
 from homgraph.model import InputError, load_catalog, serialize_graph
 
 from conftest import make_graph
@@ -89,6 +90,64 @@ class TestUsageErrors:
 
         monkeypatch.setattr("homgraph.pipeline.analyze_graph", boom)
         assert run("partition", str(graph), "--out", str(tmp_path / "x.json")) == 3
+
+
+ANALYSIS_FLAGS = {"--catalog", "--threshold", "--seed", "--coupling-denominator", "--out"}
+FLAG_SURFACE = {
+    "gen": {"--catalog", "--seed", "--out", "--benign", "--covert", "--nodes",
+            "--communities", "--planted-size", "--intra-p", "--inter-p", "--apis",
+            "--coupling-target", "--benign-coupling-target"},
+    "communities": {"--seed", "--out"},
+    "partition": ANALYSIS_FLAGS,
+    "analyze": ANALYSIS_FLAGS,
+    "covertness": {"--catalog", "--coupling-denominator", "--hops", "--out"},
+    "eval": ANALYSIS_FLAGS | {"--k", "--folds", "--features", "--sweep"},
+}
+
+
+def subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def option_strings(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+    def test_subcommand_takes_only_the_flags_it_reads(self, command):
+        assert option_strings(subparsers()[command]) == FLAG_SURFACE[command]
+
+    def test_every_subcommand_is_in_the_table(self):
+        parsers = subparsers()
+        assert set(parsers) == set(FLAG_SURFACE)
+        assert sum(len(option_strings(p)) for p in parsers.values()) == 38
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--threshold", "3"],
+        ["communities", "g.json", "--catalog", "F"],
+        ["covertness", "g.json", "--seed", "1"],
+        ["partition", "g.json", "--k", "3"],
+        ["analyze", "corpus", "--hops", "2"],
+        ["eval", "corpus", "--hops", "2"],
+        ["analyze", "corpus", "--algo", "label_propagation"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_formerly_ignored_flag_is_usage_error(self, tmp_path, argv, capsys):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 1
+        assert f"unrecognized arguments: {argv[-2]} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["covertness", "g.json", "--hops", "-2"], "--hops must be non-negative, got -2"),
+        (["eval", "corpus", "--k", "0"], "--k must be at least 1, got 0"),
+        (["eval", "corpus", "--folds", "1"], "--folds must be at least 2, got 1"),
+    ], ids=["covertness-hops", "eval-k", "eval-folds"])
+    def test_moved_range_checks_exit_2_before_reading(self, tmp_path, argv, message, capsys):
+        # The paths do not exist: the check runs before any input is read.
+        assert run(*argv) == 2
+        assert f"homgraph: error: {message}\n" == capsys.readouterr().err
 
 
 class TestCommunities:
@@ -252,13 +311,13 @@ class TestEval:
 
     def test_sweep_detects_each_graph_once(self, eval_corpus, tmp_path, monkeypatch):
         calls = []
-        real = community.detect
+        real = community.detect_multilevel
 
-        def detect(graph, algorithm, seed=0):
+        def detect(graph, seed=0):
             calls.append(graph.app_id)
-            return real(graph, algorithm, seed)
+            return real(graph, seed)
 
-        monkeypatch.setattr(community, "detect", detect)
+        monkeypatch.setattr(community, "detect_multilevel", detect)
         out = tmp_path / "sweep.json"
         assert run("eval", str(eval_corpus), "--folds", "4",
                    "--sweep", "1,3", "--out", str(out)) == 0
@@ -292,7 +351,7 @@ class TestSweep:
     def test_bad_list_exits_before_any_graph_is_read(self, tmp_path, monkeypatch, capsys):
         corpus = gen_corpus(tmp_path)
         calls = []
-        monkeypatch.setattr(community, "detect", lambda *args: calls.append(args))
+        monkeypatch.setattr(community, "detect_multilevel", lambda *args: calls.append(args))
         for bad in ("0,1", "1,x", " , ", "1,nan", "-2"):
             capsys.readouterr()
             assert run("eval", str(corpus), "--sweep", bad) == 2
@@ -391,7 +450,7 @@ class TestStreaming:
         def detect(*args):
             raise InputError("synthetic bad input")
 
-        monkeypatch.setattr(community, "detect", detect)
+        monkeypatch.setattr(community, "detect_multilevel", detect)
         capsys.readouterr()
         for command in ("analyze", "eval"):
             assert run(command, str(junk), "--out", str(tmp_path / command)) == 2
@@ -430,31 +489,17 @@ class TestCrossProcessDeterminism:
         assert outputs[0] == outputs[1]
 
 
-class TestAlgorithmFlag:
-    def test_label_propagation_pipeline(self, tmp_path):
-        corpus = gen_corpus(tmp_path)
-        out = tmp_path / "lp"
-        assert run("analyze", str(corpus), "--algo", "label_propagation",
-                   "--out", str(out)) == 0
-        assert len(read_features_csv(out / "features.csv")) == 6
-
-    def test_unknown_algorithm_usage_error(self, tmp_path):
-        corpus = gen_corpus(tmp_path)
-        assert run("analyze", str(corpus), "--algo", "bogus",
-                   "--out", str(tmp_path / "x")) == 1
-
-
 def break_one_graph(monkeypatch, corpus):
     """Make community detection raise KeyError, an internal fault, on one graph."""
     target = min(p.stem for p in corpus.glob("*.json") if p.name != "manifest.json")
-    real = community.detect
+    real = community.detect_multilevel
 
-    def detect(graph, algorithm, seed=0):
+    def detect(graph, seed=0):
         if graph.app_id == target:
             raise KeyError("synthetic fault")
-        return real(graph, algorithm, seed)
+        return real(graph, seed)
 
-    monkeypatch.setattr(community, "detect", detect)
+    monkeypatch.setattr(community, "detect_multilevel", detect)
 
 
 class TestInternalErrorsNotDropped:

@@ -56,12 +56,14 @@ class TestGenerateCorpus:
 
     def test_sensitive_names_follow_api_indices(self, small_corpus, catalog):
         for graph, truth in small_corpus:
-            names = {graph.nodes_by_id[n].name for n in graph.sensitive_ids}
+            by_id = {n.id: n for n in graph.nodes}
+            names = {by_id[n].name for n in graph.sensitive_ids}
             expected = {catalog.entries[i] for i in truth.api_indices}
             assert {n.rstrip("()") for n in names} == expected
 
     def test_normalized_output(self, small_corpus):
         for graph, _ in small_corpus:
+            assert [n.id for n in graph.nodes] == sorted(graph.node_ids)
             assert graph.edges == tuple(sorted(set(graph.edges)))
             assert all(u != v for u, v in graph.edges)
 

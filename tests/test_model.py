@@ -13,14 +13,13 @@ from homgraph.model import (
     induced_subgraph,
     load_catalog,
     matching_entries,
-    normalize,
     parse_catalog,
     parse_graph,
     serialize_graph,
 )
 
 from conftest import make_graph
-from oracles import contained_entries
+from oracles import contained_entries, normalize
 
 
 def doc(**overrides):
