@@ -22,7 +22,6 @@ from .features import (
     FeatureVector,
     TriadCensus,
     featurize,
-    presence_features,
     ratio_features,
     triad_census,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "modularity",
     "parse_graph",
     "partition_suspicious",
-    "presence_features",
     "ratio_features",
     "serialize_graph",
     "threshold_sweep",

@@ -9,6 +9,7 @@ a seeded shuffle, so identical seeds reproduce identical reports.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -158,6 +159,11 @@ def cross_validate(
     if present != set(LABELS):
         raise DatasetError(f"need both classes, got {sorted(present)}")
     fold_of = stratified_folds(dataset, folds, seed)
+    smallest_train = len(dataset) - max(Counter(fold_of).values())
+    if k > smallest_train:
+        raise DatasetError(
+            f"k={k} exceeds the smallest training fold of {smallest_train} samples"
+        )
 
     fold_counts: list[ConfusionCounts] = []
     for fold in range(folds):

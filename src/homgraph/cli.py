@@ -50,13 +50,10 @@ _FLAGS = {
     "--k": dict(type=int, default=1, help="kNN neighbor count (default 1)"),
     "--folds": dict(type=int, default=10, help="cross-validation folds (default 10)"),
     "--seed": dict(type=int, default=0, help="pseudorandom seed (default 0)"),
-    "--coupling-denominator": dict(choices=homophily.DENOMINATORS,
-                                   default=homophily.DENOMINATOR_TOTAL,
-                                   help="edge denominator of the coupling fraction"),
     "--hops": dict(type=int, default=1, help="caller hops in the malicious part (default 1)"),
     "--out": dict(metavar="PATH", help="output file or directory"),
 }
-_ANALYSIS_FLAGS = ("--catalog", "--threshold", "--seed", "--coupling-denominator")
+_ANALYSIS_FLAGS = ("--catalog", "--threshold", "--seed")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -67,11 +64,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise InputError(f"--threshold must be positive, got {args.threshold}")
-    return pipeline.PipelineConfig(
-        threshold=args.threshold,
-        seed=args.seed,
-        coupling_denominator=args.coupling_denominator,
-    )
+    return pipeline.PipelineConfig(threshold=args.threshold, seed=args.seed)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -131,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.set_defaults(func=cmd_partition)
 
     p_cov = sub.add_parser("covertness", help="covertness profile of one graph")
-    _add_flags(p_cov, "--catalog", "--coupling-denominator", "--hops")
+    _add_flags(p_cov, "--catalog", "--hops")
     p_cov.add_argument("path", metavar="GRAPH")
     p_cov.set_defaults(func=cmd_covertness)
 
@@ -191,8 +184,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    graphs = pipeline.load_corpus(args.paths)
-    rows = community.compare_algorithms(graphs, args.seed)
+    rows = community.compare_algorithms(pipeline.read_graphs(args.paths), args.seed)
     for row in rows:
         print(
             f"{row.algorithm}: mean Q {row.mean_q:.4f}, "
@@ -201,7 +193,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     report = {
-        "graph_count": len(graphs),
+        "graph_count": rows[0].graph_count,
         "seed": args.seed,
         "rows": [{"algorithm": r.algorithm, "mean_modularity_q": r.mean_q} for r in rows],
     }
@@ -222,7 +214,7 @@ def cmd_covertness(args: argparse.Namespace) -> int:
     if args.hops < 0:
         raise InputError(f"--hops must be non-negative, got {args.hops}")
     graph = load_graph(args.path, load_catalog(args.catalog))
-    report = homophily.covertness(graph, args.hops, args.coupling_denominator)
+    report = homophily.covertness(graph, args.hops)
     _emit(_json_text(pipeline.covertness_report_dict(graph, report)), args.out)
     return EXIT_OK
 

@@ -307,27 +307,35 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
 
 
 def compare_algorithms(
-    graphs: list[CallGraph], seed: int = 0
+    graphs: Iterable[CallGraph], seed: int = 0
 ) -> tuple[AlgorithmComparison, ...]:
-    """Run both detectors over a corpus; mean Q and mean wall-clock runtime."""
-    if not graphs:
+    """Run both detectors over a corpus; mean Q and mean wall-clock runtime.
+
+    Both detectors run on each graph before the next one is read, and only
+    its app id, Q and seconds are kept, so a lazy source holds one graph in
+    memory at a time. Sums run in app id order (stable), whatever order the
+    graphs arrive in.
+    """
+    detectors = ((MULTILEVEL, detect_multilevel), (LABEL_PROPAGATION, detect_label_propagation))
+    rows = []  # (app_id, [(Q, seconds) per detector])
+    for g in graphs:
+        runs = []
+        for _, detector in detectors:
+            start = time.perf_counter()
+            q = detector(g, seed).modularity_q
+            runs.append((q, time.perf_counter() - start))
+        rows.append((g.app_id, runs))
+        del g  # not kept alive while the next one loads
+    if not rows:
         raise ValueError("compare_algorithms needs at least one graph")
-    rows = []
-    for name, detector in ((MULTILEVEL, detect_multilevel),
-                           (LABEL_PROPAGATION, detect_label_propagation)):
+    rows.sort(key=lambda row: row[0])
+    n = len(rows)
+    comparisons = []
+    for i, (name, _) in enumerate(detectors):
         total_q = 0.0
         total_t = 0.0
-        for g in graphs:
-            start = time.perf_counter()
-            part = detector(g, seed)
-            total_t += time.perf_counter() - start
-            total_q += part.modularity_q
-        rows.append(
-            AlgorithmComparison(
-                algorithm=name,
-                mean_q=total_q / len(graphs),
-                mean_runtime_seconds=total_t / len(graphs),
-                graph_count=len(graphs),
-            )
-        )
-    return tuple(rows)
+        for _, runs in rows:
+            total_q += runs[i][0]
+            total_t += runs[i][1]
+        comparisons.append(AlgorithmComparison(name, total_q / n, total_t / n, n))
+    return tuple(comparisons)

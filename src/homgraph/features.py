@@ -217,15 +217,8 @@ def _tricode(succ: dict[int, set[int]], v: int, u: int, w: int) -> int:
     return code
 
 
-def presence_features(
-    subgraph: CallGraph, catalog: SensitiveApiCatalog
-) -> np.ndarray:
-    """0/1 vector: entry i set when some subgraph node matches catalog entry i."""
-    return _presence(_catalog_hits(subgraph, catalog), catalog)
-
-
 def _presence(api_matches: dict[int, tuple[int, ...]], catalog: SensitiveApiCatalog) -> np.ndarray:
-    """:func:`presence_features` from each node's catalog hits."""
+    """0/1 vector: entry i set when some node matches catalog entry i."""
     vec = np.zeros(len(catalog), dtype=np.float64)
     vec[[idx for found in api_matches.values() for idx in found]] = 1.0
     return vec

@@ -15,7 +15,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .homophily import DENOMINATOR_TOTAL, coupling_from_counts
+from .homophily import coupling_from_counts
 from .model import (
     BENIGN,
     MALWARE,
@@ -270,8 +270,7 @@ def _generate_graph(
     pairs.update(cross_pairs)
 
     measured = coupling_from_counts(
-        planted_size, rest_n, planted_edges, rest_edges, cross_count,
-        DENOMINATOR_TOTAL,
+        planted_size, rest_n, planted_edges, rest_edges, cross_count
     ).c
 
     nodes: list[FunctionNode] = []

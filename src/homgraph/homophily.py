@@ -8,6 +8,8 @@ into the rest of the app like any benign module.
 
 All edge counting happens on the simple undirected projection, restricted
 to the union of the two parts; edges touching outside nodes are ignored.
+The observed fraction divides the cross edges by every edge of the two
+parts, within either part or across (the worked 5/18 example).
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ from typing import Iterable
 
 from .community import CommunityPartition
 from .model import CallGraph, InputError, induced_subgraph
-
-# Denominator of the observed cross-edge fraction. "total" counts every edge
-# of the two-part subgraph (matches the worked 5/18 exposition); "internal"
-# counts only within-part edges (the formula as printed).
-DENOMINATOR_TOTAL = "total"
-DENOMINATOR_INTERNAL = "internal"
-DENOMINATORS = (DENOMINATOR_TOTAL, DENOMINATOR_INTERNAL)
 
 FILTERED_BENIGN = "filtered_benign"
 SUSPICIOUS = "suspicious"
@@ -55,21 +50,14 @@ class CouplingReport:
     e_b: int
     s: int
     c: float
-    denominator: str = DENOMINATOR_TOTAL
 
     @property
     def total_edges(self) -> int:
         return self.e_a + self.e_b + self.s
 
     @property
-    def edge_denominator(self) -> int:
-        if self.denominator == DENOMINATOR_INTERNAL:
-            return self.e_a + self.e_b
-        return self.total_edges
-
-    @property
     def cross_fraction(self) -> float:
-        den = self.edge_denominator
+        den = self.total_edges
         return self.s / den if den else 0.0
 
     @property
@@ -110,35 +98,20 @@ class CovertnessReport:
     covert_candidate: bool
 
 
-def coupling_from_counts(
-    n_a: int,
-    n_b: int,
-    e_a: int,
-    e_b: int,
-    s: int,
-    denominator: str = DENOMINATOR_TOTAL,
-) -> CouplingReport:
+def coupling_from_counts(n_a: int, n_b: int, e_a: int, e_b: int, s: int) -> CouplingReport:
     """Coupling value from raw counts; the arithmetic core of :func:`coupling`."""
-    if denominator not in DENOMINATORS:
-        raise ValueError(f"denominator must be one of {DENOMINATORS}")
     if n_a <= 0 or n_b <= 0:
         raise ValueError("both parts must be non-empty")
     if min(e_a, e_b, s) < 0:
         raise ValueError("edge counts must be non-negative")
-    report = CouplingReport(n_a, n_b, e_a, e_b, s, 0.0, denominator)
-    den = report.edge_denominator
-    if s == 0 or den == 0:
+    report = CouplingReport(n_a, n_b, e_a, e_b, s, 0.0)
+    if s == 0:
         return report
-    c = (s / den) / report.chance_expectation
-    return CouplingReport(n_a, n_b, e_a, e_b, s, c, denominator)
+    c = (s / report.total_edges) / report.chance_expectation
+    return CouplingReport(n_a, n_b, e_a, e_b, s, c)
 
 
-def coupling(
-    graph: CallGraph,
-    part_a: Iterable[int],
-    part_b: Iterable[int],
-    denominator: str = DENOMINATOR_TOTAL,
-) -> CouplingReport:
+def coupling(graph: CallGraph, part_a: Iterable[int], part_b: Iterable[int]) -> CouplingReport:
     """Coupling between two disjoint node sets of ``graph``.
 
     Counts undirected edges of the subgraph induced on ``part_a | part_b``:
@@ -157,7 +130,7 @@ def coupling(
 
     label = dict.fromkeys(set_a, 0) | dict.fromkeys(set_b, -1)
     (e_a,), e_b, (s,) = _edge_counts(graph, label, 1)
-    return coupling_from_counts(len(set_a), len(set_b), e_a, e_b, s, denominator)
+    return coupling_from_counts(len(set_a), len(set_b), e_a, e_b, s)
 
 
 def _edge_counts(
@@ -176,10 +149,7 @@ def _edge_counts(
 
 
 def partition_suspicious(
-    graph: CallGraph,
-    partition: CommunityPartition,
-    threshold: float,
-    denominator: str = DENOMINATOR_TOTAL,
+    graph: CallGraph, partition: CommunityPartition, threshold: float
 ) -> PartitionOutcome:
     """Split communities into a benign union and verdict-tagged sensitive ones.
 
@@ -212,11 +182,9 @@ def partition_suspicious(
     coupled = []
     for k, members in enumerate(sensitive_groups):
         if benign:
-            report = coupling_from_counts(
-                len(members), len(benign), e_a[k], e_b, s[k], denominator
-            )
+            report = coupling_from_counts(len(members), len(benign), e_a[k], e_b, s[k])
         else:
-            report = CouplingReport(len(members), 0, 0, 0, 0, 0.0, denominator)
+            report = CouplingReport(len(members), 0, 0, 0, 0, 0.0)
         coupled.append((members, report))
     return _judge(graph, frozenset(benign), coupled, threshold, {})
 
@@ -286,9 +254,7 @@ def is_covert_candidate(proportion: float, c: float) -> bool:
     return proportion < COVERT_PROPORTION_LIMIT and low <= c <= high
 
 
-def covertness(
-    graph: CallGraph, hops: int = 1, denominator: str = DENOMINATOR_TOTAL
-) -> CovertnessReport:
+def covertness(graph: CallGraph, hops: int = 1) -> CovertnessReport:
     """Proportion, coupling, and covert-candidate verdict for one graph.
 
     The malicious part is the sensitive nodes plus callers within ``hops``
@@ -303,7 +269,7 @@ def covertness(
             f"graph {graph.app_id!r}: malicious part covers every node"
         )
     proportion = len(malicious) / graph.node_count
-    report = coupling(graph, normal, malicious, denominator)
+    report = coupling(graph, normal, malicious)
     return CovertnessReport(
         malicious_nodes=malicious,
         proportion=proportion,

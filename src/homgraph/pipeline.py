@@ -32,7 +32,6 @@ class PipelineConfig:
 
     threshold: float = 3.0
     seed: int = 0
-    coupling_denominator: str = homophily.DENOMINATOR_TOTAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +54,7 @@ def analyze_graph(
 ) -> GraphAnalysis:
     """Multilevel detection, one coupling pass, and features per threshold."""
     partition = community.detect_multilevel(graph, config.seed)
-    outcome = homophily.partition_suspicious(
-        graph, partition, config.threshold, config.coupling_denominator
-    )
+    outcome = homophily.partition_suspicious(graph, partition, config.threshold)
     outcomes = (outcome, *homophily.at_thresholds(graph, outcome, sweep))
     # Outcomes with the same suspicious union share its subgraph object.
     features: dict[int, np.ndarray] = {}
@@ -177,7 +174,8 @@ def _coupling_dict(report: homophily.CouplingReport) -> dict:
         "e_b": report.e_b,
         "s": report.s,
         "c": report.c,
-        "denominator": report.denominator,
+        # Coupling has one denominator; the key stays so report bytes do not change.
+        "denominator": "total",
     }
 
 

@@ -180,7 +180,7 @@ def _substring_hits(graph: CallGraph, catalog: SensitiveApiCatalog | None) -> di
     return {nid: found for nid, found in hits.items() if found}
 
 
-def brute_coupling(graph: CallGraph, part_a, part_b, denominator: str = "total"):
+def brute_coupling(graph: CallGraph, part_a, part_b):
     """Exact-fraction coupling by direct scan of the undirected edge set."""
     set_a, set_b = set(part_a), set(part_b)
     e_a = e_b = s = 0
@@ -200,13 +200,12 @@ def brute_coupling(graph: CallGraph, part_a, part_b, denominator: str = "total")
             e_b += 1
         elif in_a == 1 and in_b == 1:
             s += 1
-    den = e_a + e_b + s if denominator == "total" else e_a + e_b
-    if s == 0 or den == 0:
+    if s == 0:
         return e_a, e_b, s, Fraction(0)
     n_a, n_b = len(set_a), len(set_b)
     total_nodes = n_a + n_b
     chance = 2 * Fraction(n_a, total_nodes) * Fraction(n_b, total_nodes)
-    return e_a, e_b, s, Fraction(s, den) / chance
+    return e_a, e_b, s, Fraction(s, e_a + e_b + s) / chance
 
 
 def brute_reverse_reach(graph: CallGraph, sources, hops: int) -> set[int]:

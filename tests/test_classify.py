@@ -159,6 +159,16 @@ class TestCrossValidate:
         with pytest.raises(DatasetError, match="dimension"):
             cross_validate(data, folds=2, k=1, seed=0)
 
+    def test_k_above_smallest_training_fold_rejected(self):
+        # 11 per class in 5 folds: the largest fold holds 6, so 16 train.
+        data = cloud_dataset(per_class=11)
+        assert cross_validate(data, folds=5, k=16, seed=0).micro_counts.total == 22
+        message = "k=17 exceeds the smallest training fold of 16 samples"
+        with pytest.raises(DatasetError, match=message):
+            cross_validate(data, folds=5, k=17, seed=0)
+        with pytest.raises(DatasetError, match=message):
+            threshold_sweep([1.0], [data], k=17, folds=5)
+
     def test_macro_is_mean_of_fold_rates(self):
         report = cross_validate(cloud_dataset(per_class=15), folds=5, k=3, seed=2)
         fold_fnrs = [metrics(c).fnr for c in report.fold_counts]

@@ -92,7 +92,7 @@ class TestUsageErrors:
         assert run("partition", str(graph), "--out", str(tmp_path / "x.json")) == 3
 
 
-ANALYSIS_FLAGS = {"--catalog", "--threshold", "--seed", "--coupling-denominator", "--out"}
+ANALYSIS_FLAGS = {"--catalog", "--threshold", "--seed", "--out"}
 FLAG_SURFACE = {
     "gen": {"--catalog", "--seed", "--out", "--benign", "--covert", "--nodes",
             "--communities", "--planted-size", "--intra-p", "--inter-p", "--apis",
@@ -100,7 +100,7 @@ FLAG_SURFACE = {
     "communities": {"--seed", "--out"},
     "partition": ANALYSIS_FLAGS,
     "analyze": ANALYSIS_FLAGS,
-    "covertness": {"--catalog", "--coupling-denominator", "--hops", "--out"},
+    "covertness": {"--catalog", "--hops", "--out"},
     "eval": ANALYSIS_FLAGS | {"--k", "--folds", "--features", "--sweep"},
 }
 
@@ -123,7 +123,7 @@ class TestFlagSurface:
     def test_every_subcommand_is_in_the_table(self):
         parsers = subparsers()
         assert set(parsers) == set(FLAG_SURFACE)
-        assert sum(len(option_strings(p)) for p in parsers.values()) == 38
+        assert sum(len(option_strings(p)) for p in parsers.values()) == 34
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--threshold", "3"],
@@ -133,6 +133,10 @@ class TestFlagSurface:
         ["analyze", "corpus", "--hops", "2"],
         ["eval", "corpus", "--hops", "2"],
         ["analyze", "corpus", "--algo", "label_propagation"],
+        ["partition", "g.json", "--coupling-denominator", "total"],
+        ["analyze", "corpus", "--coupling-denominator", "total"],
+        ["eval", "corpus", "--coupling-denominator", "total"],
+        ["covertness", "g.json", "--coupling-denominator", "total"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_formerly_ignored_flag_is_usage_error(self, tmp_path, argv, capsys):
         assert run(*argv, "--out", str(tmp_path / "out")) == 1
@@ -166,6 +170,24 @@ class TestCommunities:
         assert b"runtime" not in out1.read_bytes()
         assert "runtime" in capsys.readouterr().err
 
+    def test_one_graph_in_memory(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(tmp_path)
+        alive = track_loads(monkeypatch)
+        assert run("communities", str(corpus), "--out", str(tmp_path / "comm.json")) == 0
+        assert alive == [0] * 6
+
+    def test_path_order_does_not_change_report(self, tmp_path):
+        corpus = gen_corpus(tmp_path)
+        other = tmp_path / "other"
+        other.mkdir()
+        for path in sorted(corpus.glob("malware-*.json")):
+            path.rename(other / path.name)
+        out1, out2 = tmp_path / "comm1.json", tmp_path / "comm2.json"
+        assert run("communities", str(corpus), str(other), "--out", str(out1)) == 0
+        assert run("communities", str(other), str(corpus), "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["graph_count"] == 6
+
 
 class TestPartition:
     def test_report_fields(self, tmp_path):
@@ -181,6 +203,7 @@ class TestPartition:
             assert sc["verdict"] in ("suspicious", "filtered_benign")
             assert set(sc["coupling"]) == {"n_a", "n_b", "e_a", "e_b", "s", "c",
                                            "denominator"}
+            assert sc["coupling"]["denominator"] == "total"
 
     def test_no_sensitive_nodes_reports_empty(self, tmp_path):
         g = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)], app_id="plain")
@@ -202,6 +225,7 @@ class TestCovertness:
         report = json.loads(out.read_text())
         assert report["covert_candidate"] is True
         assert report["category"] in ("[0,1%)", "[1,2%)")
+        assert report["coupling"]["denominator"] == "total"
 
     def test_benign_graph_not_candidate(self, tmp_path):
         corpus = gen_corpus(tmp_path)
@@ -336,6 +360,16 @@ class TestEval:
         assert run("eval", str(eval_corpus), "--folds", "4", "--out", str(one_shot)) == 0
         assert via_features.read_bytes() == one_shot.read_bytes()
 
+    @pytest.mark.parametrize("extra", [[], ["--sweep", "1,3"]], ids=["single", "sweep"])
+    def test_k_above_training_fold_exit_2(self, eval_corpus, tmp_path, extra, capsys):
+        # 24 samples in 4 folds of 6: every training fold holds 18.
+        out = tmp_path / "eval.json"
+        assert run("eval", str(eval_corpus), "--folds", "4", "--k", "1000", *extra,
+                   "--out", str(out)) == 2
+        assert ("homgraph: error: k=1000 exceeds the smallest training fold of 18 samples"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_features_and_paths_mutually_exclusive(self, eval_corpus, tmp_path):
         assert run("eval", str(eval_corpus), "--features", "x.csv") == 2
         assert run("eval") == 2
@@ -358,10 +392,9 @@ class TestSweep:
             assert "--sweep" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("denominator", homophily.DENOMINATORS)
-    def test_rows_equal_single_threshold_runs(self, tmp_path, denominator):
+    def test_rows_equal_single_threshold_runs(self, tmp_path):
         corpus = gen_corpus(tmp_path)
-        flags = ["--folds", "3", "--coupling-denominator", denominator]
+        flags = ["--folds", "3"]
         thresholds = ["1", "2", "3", "4", "5"]
         out = tmp_path / "sweep.json"
         assert run("eval", str(corpus), *flags, "--sweep", ",".join(thresholds),

@@ -8,7 +8,6 @@ from homgraph.features import (
     TRIAD_NAMES,
     feature_names,
     featurize,
-    presence_features,
     ratio_features,
     triad_census,
 )
@@ -229,18 +228,18 @@ class TestRatioFeatures:
 class TestPresence:
     def test_empty_subgraph_all_zero(self, desk_catalog):
         empty = CallGraph(app_id="x", nodes=(), edges=())
-        vec = presence_features(empty, desk_catalog)
+        vec = featurize(outcome_for(empty), desk_catalog).presence
         assert vec.shape == (10,) and not vec.any()
 
     def test_single_match_sets_single_entry(self, desk_catalog):
         names = {0: desk_catalog.entries[0] + "()V", 1: "com.x.Y.z"}
         g = make_graph(2, [(0, 1)], names=names)
-        vec = presence_features(g, desk_catalog)
+        vec = featurize(outcome_for(g), desk_catalog).presence
         assert vec[0] == 1.0 and vec[1:].sum() == 0
 
     def test_entries_binary(self, tiny_catalog):
         g = make_graph(3, [(0, 1)], names={0: "api5", 1: "api5 again", 2: "api6"})
-        vec = presence_features(g, tiny_catalog)
+        vec = featurize(outcome_for(g), tiny_catalog).presence
         assert set(vec.tolist()) <= {0.0, 1.0}
         assert vec.tolist() == [1.0, 1.0]
 

@@ -6,8 +6,6 @@ import pytest
 from homgraph.community import CommunityPartition
 from homgraph.features import SELECTED_TRIADS, featurize
 from homgraph.homophily import (
-    DENOMINATOR_INTERNAL,
-    DENOMINATORS,
     FILTERED_BENIGN,
     SUSPICIOUS,
     CovertnessError,
@@ -53,14 +51,6 @@ class TestCoupling:
     def test_no_cross_edges_means_zero(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         assert coupling(g, {0, 1}, {2, 3}).c == 0.0
-
-    def test_internal_denominator(self):
-        report = coupling_from_counts(12, 6, 9, 4, 5, DENOMINATOR_INTERNAL)
-        assert report.cross_fraction == pytest.approx(5 / 13, abs=1e-12)
-        assert report.c == pytest.approx((5 / 13) / (4 / 9), abs=1e-9)
-
-    def test_internal_denominator_zero_edges(self):
-        assert coupling_from_counts(2, 2, 0, 0, 3, DENOMINATOR_INTERNAL).c == 0.0
 
     def test_outside_edges_ignored(self):
         g = make_graph(5, [(0, 1), (2, 3), (0, 4), (2, 4), (4, 4)])
@@ -127,8 +117,7 @@ class TestCoupling:
 
     def test_count_properties(self):
         # e_a + e_b + s is the union's edge count; swapping the parts swaps
-        # e_a and e_b and keeps c; c is 0 exactly when s is 0 (or, with the
-        # internal denominator, when no edge lies inside a part).
+        # e_a and e_b and keeps c; c is 0 exactly when s is 0.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -143,14 +132,12 @@ class TestCoupling:
             a = {i for i, p in enumerate(side) if p == "a"}
             b = {i for i, p in enumerate(side) if p == "b"}
             union_edges = len(induced_subgraph(g, a | b).undirected_edges)
-            for denominator in DENOMINATORS:
-                ab = coupling(g, a, b, denominator)
-                ba = coupling(g, b, a, denominator)
-                assert ab.e_a + ab.e_b + ab.s == union_edges
-                assert (ba.e_a, ba.e_b, ba.s) == (ab.e_b, ab.e_a, ab.s)
-                assert ba.c == pytest.approx(ab.c, rel=1e-12, abs=0.0)
-                no_den = denominator == DENOMINATOR_INTERNAL and ab.e_a + ab.e_b == 0
-                assert (ab.c == 0.0) == (ab.s == 0 or no_den)
+            ab = coupling(g, a, b)
+            ba = coupling(g, b, a)
+            assert ab.e_a + ab.e_b + ab.s == union_edges
+            assert (ba.e_a, ba.e_b, ba.s) == (ab.e_b, ab.e_a, ab.s)
+            assert ba.c == pytest.approx(ab.c, rel=1e-12, abs=0.0)
+            assert (ab.c == 0.0) == (ab.s == 0)
 
         counts()
 
@@ -330,10 +317,9 @@ class TestOnePassPartition:
     every report against the per-pair oracle on scattered sensitive code."""
 
     @pytest.mark.parametrize("seed", [3, 17, 2024])
-    @pytest.mark.parametrize("denominator", DENOMINATORS)
-    def test_every_coupling_matches_oracle(self, seed, denominator):
+    def test_every_coupling_matches_oracle(self, seed):
         graph, partition = scattered_case(seed)
-        outcome = partition_suspicious(graph, partition, 1.0, denominator)
+        outcome = partition_suspicious(graph, partition, 1.0)
         communities = outcome.sensitive_communities
         assert len(communities) >= 50
         label = {n: k for k, sc in enumerate(communities) for n in sc.nodes}
@@ -344,13 +330,12 @@ class TestOnePassPartition:
         assert any(not graph.undirected_neighbors[n] for n in label)
         suspicious = set()
         for sc in communities:
-            e_a, e_b, s, c = brute_coupling(graph, sc.nodes, outcome.benign_nodes,
-                                            denominator)
+            e_a, e_b, s, c = brute_coupling(graph, sc.nodes, outcome.benign_nodes)
             report = sc.coupling
             assert (report.n_a, report.n_b) == (len(sc.nodes), len(outcome.benign_nodes))
             assert (report.e_a, report.e_b, report.s) == (e_a, e_b, s)
             assert report.c == pytest.approx(float(c), rel=1e-12, abs=1e-12)
-            assert report == coupling(graph, sc.nodes, outcome.benign_nodes, denominator)
+            assert report == coupling(graph, sc.nodes, outcome.benign_nodes)
             assert sc.verdict == (FILTERED_BENIGN if report.c > 1.0 else SUSPICIOUS)
             if sc.verdict == SUSPICIOUS:
                 suspicious |= sc.nodes
@@ -385,10 +370,9 @@ class TestAtThresholds:
     result must equal a fresh partition_suspicious run."""
 
     @pytest.mark.parametrize("seed,benign", [(3, 8), (17, 8), (5, 0)])
-    @pytest.mark.parametrize("denominator", DENOMINATORS)
-    def test_equals_partition_suspicious(self, seed, benign, denominator):
+    def test_equals_partition_suspicious(self, seed, benign):
         graph, partition = scattered_case(seed, benign_communities=benign)
-        base = partition_suspicious(graph, partition, 3.0, denominator)
+        base = partition_suspicious(graph, partition, 3.0)
         communities = base.sensitive_communities
         assert len(communities) >= 50
         positive = sorted({sc.coupling.c for sc in communities if sc.coupling.c > 0})
@@ -397,7 +381,7 @@ class TestAtThresholds:
         thresholds = [0.25, 1.0, math.nextafter(exact, 0.0), exact, 3.0, 5.0, 1e9]
         outcomes = at_thresholds(graph, base, thresholds)
         for threshold, outcome in zip(thresholds, outcomes):
-            assert outcome == partition_suspicious(graph, partition, threshold, denominator)
+            assert outcome == partition_suspicious(graph, partition, threshold)
         if positive:
             # Coupling strictly above the threshold filters: c itself keeps it.
             k = next(i for i, sc in enumerate(communities) if sc.coupling.c == exact)
