@@ -45,7 +45,7 @@ from .model import (
     parse_graph,
     serialize_graph,
 )
-from .pipeline import GraphAnalysis, PipelineConfig, analyze_corpus, analyze_graph
+from .pipeline import GraphAnalysis, analyze_corpus, analyze_graph
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "LabeledSample",
     "MetricsReport",
     "PartitionOutcome",
-    "PipelineConfig",
     "PlantedTruth",
     "SELECTED_TRIADS",
     "SensitiveApiCatalog",

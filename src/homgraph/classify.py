@@ -9,7 +9,6 @@ a seeded shuffle, so identical seeds reproduce identical reports.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,7 +158,7 @@ def cross_validate(
     if present != set(LABELS):
         raise DatasetError(f"need both classes, got {sorted(present)}")
     fold_of = stratified_folds(dataset, folds, seed)
-    smallest_train = len(dataset) - max(Counter(fold_of).values())
+    smallest_train = len(dataset) - int(np.bincount(fold_of).max())
     if k > smallest_train:
         raise DatasetError(
             f"k={k} exceeds the smallest training fold of {smallest_train} samples"

@@ -61,10 +61,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-def _config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+def _check_threshold(args: argparse.Namespace) -> None:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise InputError(f"--threshold must be positive, got {args.threshold}")
-    return pipeline.PipelineConfig(threshold=args.threshold, seed=args.seed)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -202,10 +201,10 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    config = _config(args)
+    _check_threshold(args)
     catalog = load_catalog(args.catalog)
     graph = load_graph(args.path, catalog)
-    analysis = pipeline.analyze_graph(graph, catalog, config)
+    analysis = pipeline.analyze_graph(graph, catalog, args.threshold, args.seed)
     _emit(_json_text(analysis.report), args.out)
     return EXIT_OK
 
@@ -222,9 +221,10 @@ def cmd_covertness(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InputError("analyze requires --out DIRECTORY")
-    config = _config(args)
+    _check_threshold(args)
     catalog = load_catalog(args.catalog)
-    analyses = pipeline.analyze_corpus(pipeline.read_graphs(args.paths, catalog), catalog, config)
+    analyses = pipeline.analyze_corpus(pipeline.read_graphs(args.paths, catalog), catalog,
+                                       args.threshold, args.seed)
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
@@ -300,7 +300,7 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config(args)
+    _check_threshold(args)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     if args.folds < 2:
@@ -323,8 +323,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         catalog = load_catalog(args.catalog)
         analyses = pipeline.analyze_corpus(
-            pipeline.read_graphs(args.paths, catalog), catalog, config, thresholds,
-            reports=False,
+            pipeline.read_graphs(args.paths, catalog), catalog, args.threshold, args.seed,
+            thresholds, reports=False,
         )
         samples, *swept = pipeline.samples_by_threshold(analyses)
     payload["samples"] = len(samples)

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .model import CallGraph
 
 # Stop a multilevel run once an aggregation pass improves Q by less than this.
@@ -63,50 +65,51 @@ def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
 
     Q = sum over communities c of (m_c / m - (d_c / 2m)^2), with m the
     undirected edge count, m_c the intra-community edges, and d_c the total
-    degree of community c.
+    degree of community c. Communities are summed in order of first
+    appearance over the sorted undirected edges.
     """
     assignment = partition.assignment
-    missing = graph.node_ids - assignment.keys()
-    if missing or len(assignment) != graph.node_count:
+    if assignment.keys() != graph.node_ids:
         raise ValueError(f"partition does not cover graph {graph.app_id!r} exactly")
-    edges = graph.undirected_edges
-    m = len(edges)
+    adjacency = graph.adjacency
+    m = adjacency.edge_count
     if m == 0:
         raise ModularityUndefinedError(
             f"graph {graph.app_id!r} has no edges; modularity is undefined"
         )
-    intra: dict[int, int] = {}
-    degree: dict[int, int] = {}
-    for u, v in edges:
-        cu, cv = assignment[u], assignment[v]
-        degree[cu] = degree.get(cu, 0) + 1
-        degree[cv] = degree.get(cv, 0) + 1
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0) + 1
+    dense: dict[int, int] = {}
+    comm = np.fromiter((dense.setdefault(assignment[nid], len(dense)) for nid in adjacency.ids),
+                       np.int64, len(adjacency.ids))
+    upper = adjacency.rows < adjacency.indices
+    cu, cv = comm[adjacency.rows[upper]], comm[adjacency.indices[upper]]
+    intra = np.bincount(cu[cu == cv], minlength=len(dense))
+    degree = np.bincount(comm[adjacency.rows], minlength=len(dense))
+    seen, first = np.unique(np.column_stack([cu, cv]).ravel(), return_index=True)
+    order = seen[np.argsort(first)]
+    return _q(intra[order].tolist(), degree[order].tolist(), m)
+
+
+def _q(intra: Iterable[float], degree: Iterable[float], m: float) -> float:
+    """Sum of intra_c / m - (degree_c / 2m)^2 over communities, in the order
+    given. Every term is integer-valued, so only that order can touch the
+    last bit."""
     q = 0.0
     two_m = 2.0 * m
-    for comm, d_c in degree.items():
-        q += intra.get(comm, 0) / m - (d_c / two_m) ** 2
+    for e_c, d_c in zip(intra, degree):
+        q += e_c / m - (d_c / two_m) ** 2
     return q
 
 
 def _dense_partition(
-    graph: CallGraph, membership: dict[int, int], q_trace: tuple[float, ...] = ()
+    graph: CallGraph, labels: list[int], q_trace: tuple[float, ...] = ()
 ) -> CommunityPartition:
-    """Relabel communities densely from 0, ordered by smallest member id."""
-    smallest: dict[int, int] = {}
-    for node in sorted(membership):
-        comm = membership[node]
-        smallest.setdefault(comm, node)
-    order = sorted(smallest, key=lambda c: smallest[c])
-    relabel = {old: new for new, old in enumerate(order)}
-    assignment = {node: relabel[comm] for node, comm in membership.items()}
-    if graph.undirected_edges:
-        part = CommunityPartition(assignment, len(order), 0.0, q_trace)
-        q = modularity(graph, part)
-    else:
-        q = 0.0
-    return CommunityPartition(assignment, len(order), q, q_trace)
+    """Relabel per-position community labels densely from 0, ordered by
+    smallest member id (positions ascend with ids), and score the result."""
+    relabel = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    assignment = {nid: relabel[label] for nid, label in zip(graph.adjacency.ids, labels)}
+    part = CommunityPartition(assignment, len(relabel), 0.0, q_trace)
+    q = modularity(graph, part) if graph.adjacency.edge_count else 0.0
+    return CommunityPartition(assignment, len(relabel), q, q_trace)
 
 
 def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
@@ -117,20 +120,15 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     skipped) with graph aggregation until a pass improves Q by at most
     ``Q_IMPROVEMENT_TOL``. A pass's Q is read off the level it aggregated to.
     """
-    node_ids = sorted(graph.node_ids)
-    if not graph.undirected_edges:
-        return _dense_partition(graph, {nid: nid for nid in node_ids})
+    adjacency = graph.adjacency
+    if not adjacency.edge_count:
+        return _dense_partition(graph, list(range(len(adjacency.ids))))
 
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
+    n = len(adjacency.ids)
     # Aggregated-graph state; weights are per unordered pair, self-loops once.
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in adjacency.neighbours()]
     self_loop = [0.0] * n
-    for u, v in graph.undirected_edges:
-        iu, iv = index[u], index[v]
-        adj[iu][iv] = adj[iu].get(iv, 0.0) + 1.0
-        adj[iv][iu] = adj[iv].get(iu, 0.0) + 1.0
-    total_w = float(len(graph.undirected_edges))
+    total_w = float(adjacency.edge_count)
 
     membership = list(range(n))  # original node index -> current community label
     rng = random.Random(seed)
@@ -150,8 +148,7 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
             break
         prev_q = q
 
-    final = {nid: membership[index[nid]] for nid in node_ids}
-    part = _dense_partition(graph, final, tuple(q_trace))
+    part = _dense_partition(graph, membership, tuple(q_trace))
     if not abs(part.modularity_q - q_trace[-1]) < 1e-9:
         raise RuntimeError(f"final Q {part.modularity_q} is not the last pass's {q_trace[-1]}")
     return part
@@ -233,18 +230,11 @@ def _level_q(
     total_w: float,
     order: Iterable[int],
 ) -> float:
-    """Modularity of the partition whose communities are this level's nodes.
-
-    Each node's self-loop is its community's internal weight and its
-    strength the community's degree; both are integer-valued, so only the
-    order of the outer sum, given by ``order``, can touch the last bit.
-    """
-    q = 0.0
-    two_w = 2.0 * total_w
-    for c in order:
-        strength = sum(adj[c].values()) + 2.0 * self_loop[c]
-        q += self_loop[c] / total_w - (strength / two_w) ** 2
-    return q
+    """Modularity of the partition whose communities are this level's nodes:
+    each node's self-loop is its community's internal weight and its
+    strength the community's degree."""
+    return _q((self_loop[c] for c in order),
+              (sum(adj[c].values()) + 2.0 * self_loop[c] for c in order), total_w)
 
 
 def _aggregate(
@@ -280,26 +270,26 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     label); sweeps run in seed-permuted order until a fixpoint or
     ``MAX_LABEL_SWEEPS`` sweeps.
     """
-    neighbors = graph.undirected_neighbors
-    labels = {nid: nid for nid in graph.node_ids}
-    order = sorted(graph.node_ids)
+    neighbours = graph.adjacency.neighbours()
+    labels = list(range(len(neighbours)))  # by position: the smallest label is the smallest id
+    order = labels[:]
     rng = random.Random(seed)
 
     for _ in range(MAX_LABEL_SWEEPS):
         rng.shuffle(order)
         changed = False
-        for nid in order:
-            nbrs = neighbors[nid]
+        for i in order:
+            nbrs = neighbours[i]
             if not nbrs:
                 continue
             counts: dict[int, int] = {}
-            for m in nbrs:
-                lab = labels[m]
+            for j in nbrs:
+                lab = labels[j]
                 counts[lab] = counts.get(lab, 0) + 1
             top = max(counts.values())
             best = min(lab for lab, c in counts.items() if c == top)
-            if best != labels[nid]:
-                labels[nid] = best
+            if best != labels[i]:
+                labels[i] = best
                 changed = True
         if not changed:
             break

@@ -91,9 +91,11 @@ class FeatureVector:
 
 
 def _catalog_hits(graph: CallGraph, catalog: SensitiveApiCatalog) -> dict[int, tuple[int, ...]]:
-    """Catalog entries matched by each node of ``graph`` that matches any."""
-    hits = {n.id: matching_entries(n.name, catalog) for n in graph.nodes}
-    return {nid: found for nid, found in hits.items() if found}
+    """Catalog entries matched by each node of ``graph`` that matches any,
+    keyed by the node's adjacency position."""
+    position = graph.adjacency.position
+    hits = {position[n.id]: matching_entries(n.name, catalog) for n in graph.nodes}
+    return {i: found for i, found in hits.items() if found}
 
 
 def triad_census(
@@ -113,22 +115,19 @@ def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> Tri
     Open and one-edge triads follow from degrees (Moody 1998) once the
     triangles are known, and only the triangles are listed.
     """
-    nodes = [n.id for n in subgraph.nodes]
-    n = len(nodes)
-    succ = subgraph.out_neighbors
-    pred = subgraph.in_neighbors
-    # Built here rather than cached on the subgraph, which outlives the call.
-    nbrs = {v: succ[v] | pred[v] for v in nodes}
+    adjacency = subgraph.adjacency
+    n = len(adjacency.ids)
+    codes = iter(adjacency.dyads.tolist())  # each zip below takes one row's codes
+    links = [dict(zip(nbrs, codes)) for nbrs in adjacency.neighbours()]
 
     # Wedges, open or closed, by the dyads of their two arms: a node with a
     # out-only, b in-only and m mutual neighbours centres a*b 021C wedges,
     # m*b 111D wedges, and so on. An edge (u, v) leaves n - d_u - d_v third
     # nodes adjacent to neither end, plus one per triangle on it. No sum
     # exceeds n * 2E, so int64 is exact.
-    d = np.fromiter((len(nbrs[v]) for v in nodes), np.int64, n)
-    a = d - np.fromiter((len(pred[v]) for v in nodes), np.int64, n)
-    b = d - np.fromiter((len(succ[v]) for v in nodes), np.int64, n)
-    m = d - a - b
+    a, b, m = (np.bincount(adjacency.rows[adjacency.dyads == code], minlength=n)
+               for code in (1, 2, 3))
+    d = a + b + m
     totals = dict.fromkeys(TRIAD_NAMES, 0)
     for name, count in (
         ("021D", a @ (a - 1) // 2), ("021U", b @ (b - 1) // 2), ("021C", a @ b),
@@ -137,17 +136,16 @@ def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> Tri
     ):
         totals[name] = int(count)
 
-    # Each triangle once, from its two smallest ids. A set intersection
-    # walks the smaller set, so listing costs O(arboricity * edges)
+    # Each triangle once, from its two smallest positions. An intersection
+    # walks the smaller side, so listing costs O(arboricity * edges)
     # (Chiba & Nishizeki 1985).
     closed = [0] * 64
-    for u in nodes:
-        nu = nbrs[u]
+    for u, nu in enumerate(links):
         for v in nu:
             if v > u:
-                for w in nu & nbrs[v]:
+                for w in nu.keys() & links[v].keys():
                     if w > v:
-                        closed[_tricode(succ, u, v, w)] += 1
+                        closed[_tricode(links, u, v, w)] += 1
     for code, count in enumerate(closed):
         if count:
             totals[_CODE_TO_NAME[code]] += count
@@ -159,35 +157,33 @@ def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> Tri
 
     return TriadCensus(
         total_counts=totals,
-        sensitive_counts=_sensitive_counts(succ, nbrs, api_matches),
+        sensitive_counts=_sensitive_counts(links, api_matches),
         edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
         node_count=n,
     )
 
 
 def _sensitive_counts(
-    succ: dict[int, set[int]],
-    nbrs: dict[int, set[int]],
-    api_matches: dict[int, tuple[int, ...]],
+    links: list[dict[int, int]], api_matches: dict[int, tuple[int, ...]]
 ) -> dict[tuple[int, str], int]:
     """Selected triads per catalog entry, from the connected triples of the
-    matching nodes only.
+    matching nodes only; ``api_matches`` is keyed by position.
 
     A triple holding several nodes that match one entry counts for it once,
-    at the first of them walked (ascending id); the first node walked for an
-    entry has nothing to test.
+    at the first of them walked (ascending position); the first node walked
+    for an entry has nothing to test.
     """
     sensitive: dict[tuple[int, str], int] = {}
     walked: dict[int, set[int]] = {}  # entry -> its matching nodes walked so far
     for x in sorted(api_matches):
         apis = api_matches[x]
-        arms = list(nbrs[x])
-        beyond = nbrs[x] | {x}
+        arms = list(links[x])
+        beyond = {*arms, x}
         for i, y in enumerate(arms):
             # x centres (x, y, z) for each later arm z, and ends it for each
             # z adjacent to y but not to x.
-            for z in [*arms[i + 1:], *(nbrs[y] - beyond)]:
-                name = _CODE_TO_NAME[_tricode(succ, x, y, z)]
+            for z in [*arms[i + 1:], *(links[y].keys() - beyond)]:
+                name = _CODE_TO_NAME[_tricode(links, x, y, z)]
                 if name in _SELECTED_SET:
                     for api in apis:
                         earlier = walked.get(api)
@@ -200,21 +196,11 @@ def _sensitive_counts(
     return sensitive
 
 
-def _tricode(succ: dict[int, set[int]], v: int, u: int, w: int) -> int:
-    code = 0
-    if u in succ[v]:
-        code += 1
-    if v in succ[u]:
-        code += 2
-    if w in succ[v]:
-        code += 4
-    if v in succ[w]:
-        code += 8
-    if w in succ[u]:
-        code += 16
-    if u in succ[w]:
-        code += 32
-    return code
+def _tricode(links: list[dict[int, int]], v: int, u: int, w: int) -> int:
+    """The 6-bit pattern of positions (v, u, w): the dyad codes of (v, u),
+    (v, w) and (u, w) in bits 0-1, 2-3 and 4-5."""
+    lv = links[v]
+    return lv.get(u, 0) | lv.get(w, 0) << 2 | links[u].get(w, 0) << 4
 
 
 def _presence(api_matches: dict[int, tuple[int, ...]], catalog: SensitiveApiCatalog) -> np.ndarray:

@@ -14,9 +14,10 @@ parts, within either part or across (the worked 5/18 example).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .community import CommunityPartition
 from .model import CallGraph, InputError, induced_subgraph
@@ -112,7 +113,7 @@ def coupling_from_counts(n_a: int, n_b: int, e_a: int, e_b: int, s: int) -> Coup
 
 
 def coupling(graph: CallGraph, part_a: Iterable[int], part_b: Iterable[int]) -> CouplingReport:
-    """Coupling between two disjoint node sets of ``graph``.
+    """Coupling between two disjoint, non-empty node sets of ``graph``.
 
     Counts undirected edges of the subgraph induced on ``part_a | part_b``:
     ``e_a`` within a, ``e_b`` within b, ``s`` across. Edges with an endpoint
@@ -120,32 +121,37 @@ def coupling(graph: CallGraph, part_a: Iterable[int], part_b: Iterable[int]) -> 
     """
     set_a = frozenset(part_a)
     set_b = frozenset(part_b)
-    if not set_a or not set_b:
-        raise ValueError("coupling parts must be non-empty")
     if set_a & set_b:
         raise ValueError("coupling parts must be disjoint")
     outside = (set_a | set_b) - graph.node_ids
     if outside:
         raise ValueError(f"part nodes not in graph: {sorted(outside)[:5]}")
 
-    label = dict.fromkeys(set_a, 0) | dict.fromkeys(set_b, -1)
-    (e_a,), e_b, (s,) = _edge_counts(graph, label, 1)
+    (e_a,), e_b, (s,) = _edge_counts(graph, [set_a], set_b)
     return coupling_from_counts(len(set_a), len(set_b), e_a, e_b, s)
 
 
 def _edge_counts(
-    graph: CallGraph, label: dict[int, int], groups: int
+    graph: CallGraph, groups: list[Iterable[int]], rest: Iterable[int]
 ) -> tuple[list[int], int, list[int]]:
-    """Coupling counts of every group against part -1, in one edge scan.
+    """Coupling counts of every group against ``rest``, in one edge scan.
 
-    ``label`` maps each node to its group index or to -1. Returns per-group
-    ``e_a`` and ``s`` lists and the shared ``e_b``. Edges joining two
-    groups, or touching an unlabelled node, are ignored.
+    Returns per-group ``e_a`` and ``s`` lists and the shared ``e_b``. Edges
+    joining two groups, or touching a node in none of the parts, are ignored.
     """
-    pairs = Counter((label.get(u), label.get(v)) for u, v in graph.undirected_edges)
-    e_a = [pairs[k, k] for k in range(groups)]
-    s = [pairs[k, -1] + pairs[-1, k] for k in range(groups)]
-    return e_a, pairs[-1, -1], s
+    adjacency = graph.adjacency
+    label = np.full(len(adjacency.ids), -2)  # -1 for rest, -2 for neither
+    label[[adjacency.position[v] for v in rest]] = -1
+    for k, members in enumerate(groups):
+        label[[adjacency.position[v] for v in members]] = k
+    upper = adjacency.rows < adjacency.indices
+    a, b = label[adjacency.rows[upper]], label[adjacency.indices[upper]]
+    same = a[a == b]
+    # The group end of each edge with exactly one end in part -1.
+    cross = np.where(a == -1, b, a)[(a == -1) != (b == -1)]
+    e_a = np.bincount(same[same >= 0], minlength=len(groups))
+    s = np.bincount(cross[cross >= 0], minlength=len(groups))
+    return e_a.tolist(), int(np.count_nonzero(same == -1)), s.tolist()
 
 
 def partition_suspicious(
@@ -162,22 +168,18 @@ def partition_suspicious(
     suspicious and its coupling is recorded as 0. :func:`at_thresholds`
     judges the result again at other thresholds without a new scan.
     """
-    missing = graph.node_ids - partition.assignment.keys()
-    if missing or len(partition.assignment) != graph.node_count:
+    if partition.assignment.keys() != graph.node_ids:
         raise ValueError("partition does not cover graph exactly")
 
     sensitive_ids = graph.sensitive_ids
     benign: set[int] = set()
     sensitive_groups: list[frozenset[int]] = []
-    label: dict[int, int] = {}
     for members in partition.communities():
         if members & sensitive_ids:
-            label.update(dict.fromkeys(members, len(sensitive_groups)))
             sensitive_groups.append(members)
         else:
             benign.update(members)
-    label.update(dict.fromkeys(benign, -1))
-    e_a, e_b, s = _edge_counts(graph, label, len(sensitive_groups))
+    e_a, e_b, s = _edge_counts(graph, sensitive_groups, benign)
 
     coupled = []
     for k, members in enumerate(sensitive_groups):
@@ -228,15 +230,17 @@ def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:
     """Sensitive nodes plus their callers within ``hops`` reverse-edge steps."""
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    frontier = set(graph.sensitive_ids)
-    part = set(frontier)
-    preds = graph.in_neighbors
+    adjacency = graph.adjacency
+    part = np.zeros(len(adjacency.ids), bool)
+    part[[adjacency.position[v] for v in graph.sensitive_ids]] = True
+    called = (adjacency.dyads & 2) != 0  # entry (i, j) has the code-2 bit: j calls i
     for _ in range(hops):
-        frontier = {p for node in frontier for p in preds[node]} - part
-        if not frontier:
+        grown = part.copy()
+        grown[adjacency.indices[called & part[adjacency.rows]]] = True
+        if (grown == part).all():
             break
-        part.update(frontier)
-    return frozenset(part)
+        part = grown
+    return frozenset(adjacency.ids[i] for i in np.flatnonzero(part).tolist())
 
 
 def proportion_category(proportion: float) -> str:

@@ -5,6 +5,11 @@ calls or user-defined methods) and whose edges are caller -> callee
 relations. Graphs are normalized before analysis: self-loops dropped,
 duplicate directed edges collapsed, nodes ordered by ascending id.
 
+Every analysis stage reads a graph through one index, ``CallGraph.adjacency``:
+a CSR of the simple undirected projection over dense node positions, with
+each pair's direction as a dyad code. Communities and coupling read the
+projection; malicious callers and the triad census read the codes.
+
 Wire format: one JSON document per app with fields ``app_id`` (string),
 ``label`` (optional, "benign" | "malware"), ``nodes`` (array of
 ``{"id": int, "name": str, "sensitive": optional bool}``), and ``edges``
@@ -21,8 +26,11 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 BENIGN = "benign"
 MALWARE = "malware"
@@ -63,8 +71,8 @@ class CallGraph:
 
     In a normalized graph, as :func:`parse_graph` and the generator build
     it, ``nodes`` are ordered by ascending id and ``edges`` are sorted,
-    de-duplicated and free of self-loops. Induced subgraphs may be empty; graphs read from the wire format are
-    required to have at least one node.
+    de-duplicated and free of self-loops. Induced subgraphs may be empty;
+    graphs read from the wire format are required to have at least one node.
     """
 
     app_id: str
@@ -89,32 +97,55 @@ class CallGraph:
         return frozenset(n.id for n in self.nodes if n.sensitive)
 
     @cached_property
-    def out_neighbors(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-        return adj
+    def adjacency(self) -> Adjacency:
+        """The index every analysis stage reads, built on first use. Self-loops
+        are dropped; repeated or reversed edges merge into one pair."""
+        ids = tuple(sorted(n.id for n in self.nodes))
+        position = {nid: i for i, nid in enumerate(ids)}
+        n = len(ids)
+        ends = np.fromiter(map(position.__getitem__, chain.from_iterable(self.edges)),
+                           np.int64, 2 * len(self.edges)).reshape(-1, 2)
+        src, dst = ends[ends[:, 0] != ends[:, 1]].T
+        # Edge i -> j sets bit 1 of entry (i, j) and bit 2 of entry (j, i).
+        keys, entry = np.unique(np.concatenate([src * n + dst, dst * n + src]),
+                                return_inverse=True)
+        dyads = np.zeros(len(keys), np.uint8)
+        dyads[entry[:len(src)]] |= 1
+        dyads[entry[len(src):]] |= 2
+        rows, indices = np.divmod(keys, max(n, 1))
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return Adjacency(ids, position, indptr, indices, rows, dyads)
 
-    @cached_property
-    def in_neighbors(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[v].add(u)
-        return adj
 
-    @cached_property
-    def undirected_neighbors(self) -> dict[int, set[int]]:
-        """Simple undirected projection: each unordered pair appears once."""
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """The simple undirected projection of a call graph as a CSR.
 
-    @cached_property
-    def undirected_edges(self) -> tuple[tuple[int, int], ...]:
-        pairs = {(u, v) if u < v else (v, u) for u, v in self.edges}
-        return tuple(sorted(pairs))
+    Nodes get positions in ascending id order; only positions enter the
+    arrays, so ids of any size work. Position ``i``'s neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` holds each
+    entry's position, so every pair appears once from each end. ``dyads``
+    codes entry (i, j): 1 = only i -> j, 2 = only j -> i, 3 = mutual.
+    """
+
+    ids: tuple[int, ...]
+    position: dict[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    dyads: np.ndarray
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the undirected projection."""
+        return len(self.indices) // 2
+
+    def neighbours(self) -> list[list[int]]:
+        """Each position's neighbour positions, ascending."""
+        flat = self.indices.tolist()
+        ptr = self.indptr.tolist()
+        return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -130,17 +161,11 @@ class SensitiveApiCatalog:
     def __post_init__(self) -> None:
         if not self.entries:
             raise CatalogError(f"catalog {self.source!r} has no entries")
-        seen: set[str] = set()
         for i, entry in enumerate(self.entries):
             if entry != entry.strip() or not entry:
                 raise CatalogError(
                     f"catalog {self.source!r} entry {i} is blank or not trimmed"
                 )
-            if entry in seen:
-                raise CatalogError(
-                    f"catalog {self.source!r} has duplicate entry {entry!r}"
-                )
-            seen.add(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -202,14 +227,14 @@ def load_catalog(path: str | Path | None = None) -> SensitiveApiCatalog:
 
 
 def parse_catalog(text: str, source: str = "<memory>") -> SensitiveApiCatalog:
-    entries: list[str] = []
+    entries: dict[str, None] = {}  # a set that keeps file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line in entries:
             raise CatalogError(f"{source}:{lineno}: duplicate catalog entry {line!r}")
-        entries.append(line)
+        entries[line] = None
     return SensitiveApiCatalog(entries=tuple(entries), source=source)
 
 

@@ -1,12 +1,13 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
-One ``PipelineConfig`` carries the tunables of per-graph analysis; its
-defaults are the best-performing configuration (threshold 3). Communities
-always come from multilevel detection. The catalog is loaded by the caller, and classifier settings
-(k, folds) go straight to ``classify``. Corpus runs stream: each graph is
-parsed, detected, coupled once for every threshold and featurized once per
-distinct suspicious union, and only its ``GraphAnalysis`` is kept before
-the next file is read. Results come out stably sorted by app_id.
+Per-graph analysis takes a coupling threshold and a seed; the defaults are
+the best-performing configuration (threshold 3). Communities always come
+from multilevel detection. The catalog is loaded by the caller, and
+classifier settings (k, folds) go straight to ``classify``. Corpus runs
+stream: each graph is parsed, detected, coupled once for every threshold
+and featurized once per distinct suspicious union, and only its
+``GraphAnalysis`` is kept before the next file is read. Results come out
+stably sorted by app_id.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from .model import CallGraph, InputError, SensitiveApiCatalog, load_graph
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs of per-graph analysis; defaults match the reference setup."""
-
-    threshold: float = 3.0
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class GraphAnalysis:
     """What is kept of one graph: features at the configured threshold, then
@@ -48,13 +41,15 @@ class GraphAnalysis:
 def analyze_graph(
     graph: CallGraph,
     catalog: SensitiveApiCatalog,
-    config: PipelineConfig,
+    threshold: float = 3.0,
+    seed: int = 0,
     sweep: Sequence[float] = (),
     report: bool = True,
 ) -> GraphAnalysis:
-    """Multilevel detection, one coupling pass, and features per threshold."""
-    partition = community.detect_multilevel(graph, config.seed)
-    outcome = homophily.partition_suspicious(graph, partition, config.threshold)
+    """Multilevel detection, one coupling pass, and features at ``threshold``
+    and then at each ``sweep`` threshold."""
+    partition = community.detect_multilevel(graph, seed)
+    outcome = homophily.partition_suspicious(graph, partition, threshold)
     outcomes = (outcome, *homophily.at_thresholds(graph, outcome, sweep))
     # Outcomes with the same suspicious union share its subgraph object.
     features: dict[int, np.ndarray] = {}
@@ -72,7 +67,8 @@ def analyze_graph(
 def analyze_corpus(
     graphs: Iterable[CallGraph],
     catalog: SensitiveApiCatalog,
-    config: PipelineConfig,
+    threshold: float = 3.0,
+    seed: int = 0,
     sweep: Sequence[float] = (),
     reports: bool = True,
 ) -> list[GraphAnalysis]:
@@ -86,7 +82,7 @@ def analyze_corpus(
     results: list[GraphAnalysis] = []
     for graph in graphs:
         try:
-            results.append(analyze_graph(graph, catalog, config, sweep, reports))
+            results.append(analyze_graph(graph, catalog, threshold, seed, sweep, reports))
         except InputError as exc:
             logger.warning("skipping graph %r: %s", graph.app_id, exc)
         del graph  # not kept alive while the next one loads

@@ -8,7 +8,8 @@ here is slow and only suitable for test sizes. Catalog hits are plain
 substring tests, Louvain's per-pass Q is recomputed from every edge of the
 level, and a second census classifies every connected triple one at a time
 with the production code table. Graphs are normalized in plain passes over
-nodes and edges rather than while parsing.
+nodes and edges rather than while parsing, and every neighbour set is built
+here from ``graph.edges``, never read from production's adjacency index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES, _tricode
+from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES
 from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
 
 
@@ -38,6 +39,35 @@ def normalize(graph: CallGraph) -> CallGraph:
                 f"graph {graph.app_id!r}: edge ({u}, {v}) references unknown node"
             )
     return replace(graph, nodes=nodes, edges=edges)
+
+
+def succ_pred(graph: CallGraph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """Successor and predecessor sets of every node, from ``graph.edges``."""
+    succ: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
+    pred: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
+    for u, v in graph.edges:
+        if u != v:
+            succ[u].add(v)
+            pred[v].add(u)
+    return succ, pred
+
+
+def undirected_neighbors(graph: CallGraph) -> dict[int, set[int]]:
+    """Neighbour sets of the simple undirected projection."""
+    succ, pred = succ_pred(graph)
+    return {nid: succ[nid] | pred[nid] for nid in succ}
+
+
+def undirected_edges(graph: CallGraph) -> list[tuple[int, int]]:
+    """Sorted pairs (u, v), u < v, of the simple undirected projection."""
+    return sorted({(min(u, v), max(u, v)) for u, v in graph.edges if u != v})
+
+
+def tricode(succ: dict[int, set[int]], v: int, u: int, w: int) -> int:
+    """The 6-bit edge pattern of a node triple in the code table's layout:
+    (v,u):1 (u,v):2 (v,w):4 (w,v):8 (u,w):16 (w,u):32."""
+    arcs = ((v, u), (u, v), (v, w), (w, v), (u, w), (w, u))
+    return sum(1 << bit for bit, (x, y) in enumerate(arcs) if y in succ[x])
 
 
 def classify_triple(succ: dict[int, set[int]], a: int, b: int, c: int) -> str:
@@ -100,7 +130,7 @@ def classify_triple(succ: dict[int, set[int]], a: int, b: int, c: int) -> str:
 
 def brute_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
     """All-triples census: (totals, edgeless count, per-api sensitive counts)."""
-    succ = graph.out_neighbors
+    succ, _ = succ_pred(graph)
     totals = {name: 0 for name in TRIAD_NAMES}
     sensitive: dict[tuple[int, str], int] = {}
     api_matches = _substring_hits(graph, catalog)
@@ -132,8 +162,7 @@ def walk_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
     """
     nodes = [n.id for n in graph.nodes]
     n = len(nodes)
-    succ = graph.out_neighbors
-    pred = graph.in_neighbors
+    succ, pred = succ_pred(graph)
     position = {nid: i for i, nid in enumerate(nodes)}
     api_matches = _substring_hits(graph, catalog)
 
@@ -154,7 +183,7 @@ def walk_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
                     position[v] < position[w] < position[u]
                     and w not in vnbrs
                 ):
-                    name = _CODE_TO_NAME[_tricode(succ, v, u, w)]
+                    name = _CODE_TO_NAME[tricode(succ, v, u, w)]
                     totals[name] += 1
                     if name in SELECTED_TRIADS and api_matches:
                         apis: set[int] = set()
@@ -210,9 +239,7 @@ def brute_coupling(graph: CallGraph, part_a, part_b):
 
 def brute_reverse_reach(graph: CallGraph, sources, hops: int) -> set[int]:
     """BFS over reversed edges, capped at ``hops`` steps."""
-    preds: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
-    for u, v in graph.edges:
-        preds[v].add(u)
+    _, preds = succ_pred(graph)
     reached = set(sources)
     frontier = set(sources)
     for _ in range(hops):

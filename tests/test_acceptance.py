@@ -43,9 +43,8 @@ SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0, 1e9)
 
 @pytest.fixture(scope="module")
 def analyses(corpus, catalog):
-    config = pipeline.PipelineConfig()
     start = time.perf_counter()
-    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, config, SWEEP)
+    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, sweep=SWEEP)
     return results, time.perf_counter() - start
 
 
@@ -229,9 +228,8 @@ def test_criterion_10_large_graph_latency(catalog):
     )
     graph, _ = generate.generate_corpus(spec, 0, 1, catalog)[0]
     size_ok = 5000 <= graph.node_count <= 6200 and 11000 <= graph.edge_count <= 13500
-    config = pipeline.PipelineConfig()
     start = time.perf_counter()
-    analysis = pipeline.analyze_graph(graph, catalog, config)
+    analysis = pipeline.analyze_graph(graph, catalog)
     elapsed = time.perf_counter() - start
     ok = size_ok and elapsed <= 5.0 and analysis.vectors[0].shape == (70,)
     report(10, "analyze on a ~5,600-node / ~12,100-edge graph within 5 s", ok,

@@ -191,8 +191,7 @@ class TestThresholdSweep:
 
     def test_row_per_threshold(self, small_corpus):
         graphs, catalog = small_corpus
-        analyses = pipeline.analyze_corpus(graphs, catalog, pipeline.PipelineConfig(),
-                                           (1.0, 3.0))
+        analyses = pipeline.analyze_corpus(graphs, catalog, sweep=(1.0, 3.0))
         _, *datasets = pipeline.samples_by_threshold(analyses)
         rows = threshold_sweep([1.0, 3.0], datasets, folds=4)
         assert [r.threshold for r in rows] == [1.0, 3.0]
@@ -202,8 +201,7 @@ class TestThresholdSweep:
     def test_unlabeled_graph_skipped_not_fatal(self, small_corpus, caplog):
         graphs, catalog = small_corpus
         broken = replace(graphs[0], app_id="broken", ground_truth=None)
-        analyses = pipeline.analyze_corpus([broken, *graphs], catalog,
-                                           pipeline.PipelineConfig(), (3.0,))
+        analyses = pipeline.analyze_corpus([broken, *graphs], catalog, sweep=(3.0,))
         with caplog.at_level(logging.WARNING):
             _, dataset = pipeline.samples_by_threshold(analyses)
         rows = threshold_sweep([3.0], [dataset], folds=4)

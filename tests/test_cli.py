@@ -562,7 +562,7 @@ class TestInternalErrorsNotDropped:
         monkeypatch.setattr(homophily, "at_thresholds", at_thresholds)
         with pytest.raises(KeyError):
             pipeline.analyze_corpus(pipeline.read_graphs([corpus]), load_catalog(),
-                                    pipeline.PipelineConfig(), (1.0, 3.0))
+                                    sweep=(1.0, 3.0))
 
 
 class TestFeatureFileValidation:

@@ -15,7 +15,7 @@ from homgraph.homophily import PartitionOutcome
 from homgraph.model import CallGraph, SensitiveApiCatalog
 
 from conftest import make_graph
-from oracles import brute_census, walk_census
+from oracles import brute_census, undirected_neighbors, walk_census
 
 
 def dyad_edges(rng, n, edge_prob, mutual_prob):
@@ -119,13 +119,14 @@ class TestCensus:
 
             hits = {j: {e for e in catalog.entries if e in name} for j, name in node_names.items()}
             covered["nested"] += any(len(found) == 2 for found in hits.values())
+            neighbors = undirected_neighbors(g)
             covered["near pair"] += any(
                 hits[x] & hits[z]
-                for x in range(n) for y in g.undirected_neighbors[x]
-                for z in g.undirected_neighbors[y] | {y} if z > x
+                for x in range(n) for y in neighbors[x]
+                for z in neighbors[y] | {y} if z > x
             )
             covered["mutual"] += census.total_counts["102"] > 0
-            covered["isolated"] += any(not nbrs for nbrs in g.undirected_neighbors.values())
+            covered["isolated"] += any(not nbrs for nbrs in neighbors.values())
         assert min(covered.values()) >= 20, covered
 
     def test_relabel_invariance(self):

@@ -1,13 +1,22 @@
-"""Byte-identity of CLI output files against a recorded table.
+"""Byte-identity of CLI output files against recorded tables.
 
 A fixed command set runs through ``cli.main`` and every ``--out`` file is
-hashed. The table holds the SHA-256 of each file as the code produced it
+hashed. Each table holds the SHA-256 of each file as the code produced it
 when the table was recorded. A refactor that should keep outputs
-byte-identical must leave it passing; a change that alters output bytes
+byte-identical must leave them passing; a change that alters output bytes
 on purpose updates the table and says so in CHANGES.md.
+
+The first table runs on a generated corpus. The second runs on graph files
+written here, shaped for what the generator never makes: non-dense node
+ids (one at least 2**63), an isolated node, duplicate, self-loop and mutual
+input edges, a hub with 55 callers, sensitive APIs in many communities, one
+entry matched by two nodes two hops apart, and a catalog whose entries
+nest (one begins with another).
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -36,9 +45,9 @@ def commands(root):
     return [[str(a) for a in argv] for argv in argvs]
 
 
-def output_hashes(root):
-    """Run the command set and hash every file it writes, by relative path."""
-    for argv in commands(root):
+def output_hashes(root, argvs):
+    """Run ``argvs`` and hash every file under ``root``, by relative path."""
+    for argv in argvs:
         assert main(argv) == 0, argv
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -98,9 +107,145 @@ GOLDEN = {
 }
 
 
+SHAPED_CATALOG = ("api.Net", "api.Net.send", "api.Tel.id", "api.Sms", "api.Loc",
+                  "api.File", "api.Hub")
+SHAPED_GRAPHS = 8
+CLUSTERS = 8
+CLUSTER_SIZE = 9
+HUB_CALLERS = 55
+BIG_ID = 2**63 + 7
+
+
+def shaped_doc(index):
+    """One wire-format document; even indices are benign, odd are malware.
+
+    Eight clusters of nine nodes with dense directed edges inside and a few
+    across. A sensitive API sits in each of clusters 0 to 5; cluster 1 holds
+    two ``api.Tel.id`` nodes joined through a third. The hub ``api.Hub.log``
+    is called by 55 one-call wrappers, each called from a cluster node.
+    Malware graphs wire cluster 5 to the other clusters by a single edge.
+    """
+    rng = random.Random(index)
+    cluster_nodes = CLUSTERS * CLUSTER_SIZE
+    count = cluster_nodes + 1 + HUB_CALLERS + 1
+    ids = [5 + 11 * k + k % 3 + 1000 * index for k in range(count - 1)] + [BIG_ID]
+    # The largest id sits in cluster 2, so it enters edges and a community.
+    cluster_ids = [ids[-1], *ids[:cluster_nodes - 1]]
+    hub, *rest = ids[cluster_nodes - 1:-1]
+    wrappers, isolated = rest[:HUB_CALLERS], rest[HUB_CALLERS]
+    clusters = [cluster_ids[c::CLUSTERS] for c in range(CLUSTERS)]
+    clusters[2].insert(0, clusters[0].pop(0))
+
+    names = {nid: f"app.pkg.C{k}.m{k}" for k, nid in enumerate(ids)}
+    names[hub] = "app.util.api.Hub.log"
+    names[isolated] = "app.unused.Dead.code"
+    sensitive = ("api.Net.send()V", "api.Tel.id", "api.Sms.send", "api.Loc.get",
+                 "api.File.open", "api.Net.open")
+    for c, api in enumerate(sensitive):
+        names[clusters[c][0]] = f"lib.{api}"
+    names[clusters[1][2]] = "lib.api.Tel.id()J"
+
+    edges = []
+    for members in clusters:
+        for u in members:
+            for v in members:
+                if u != v and rng.random() < 0.35:
+                    edges.append([u, v])
+        edges.append([members[0], members[1]])
+        edges.append([members[1], members[2]])
+        edges.append([members[1], members[0]])  # mutual
+    cross = 0.004 if index % 2 else 0.02
+    for a, members in enumerate(clusters):
+        for b, others in enumerate(clusters):
+            if a == b or (index % 2 and 5 in (a, b)):
+                continue
+            edges += [[u, v] for u in members for v in others if rng.random() < cross]
+    if index % 2:
+        edges.append([clusters[5][3], clusters[4][3]])
+    for k, w in enumerate(wrappers):
+        callers = clusters[k % CLUSTERS]
+        edges.append([callers[k % len(callers)], w])
+        edges.append([w, hub])
+    edges += edges[:6]  # duplicates
+    edges += [[u, u] for u in clusters[3][:3]]  # self-loops
+    nodes = [{"id": nid, "name": names[nid]} for nid in reversed(ids)]
+    label = "malware" if index % 2 else "benign"
+    return {"app_id": f"shaped-{index}", "label": label, "nodes": nodes, "edges": edges}
+
+
+def shaped_commands(root):
+    """Write the shaped graphs and catalog under ``root``; the command set."""
+    corpus = root / "graphs"
+    corpus.mkdir()
+    for index in range(SHAPED_GRAPHS):
+        text = json.dumps(shaped_doc(index), separators=(",", ":"))
+        (corpus / f"shaped-{index}.json").write_text(text + "\n", encoding="utf-8")
+    catalog = root / "catalog.txt"
+    catalog.write_text("\n".join(SHAPED_CATALOG) + "\n", encoding="utf-8")
+    argvs = [
+        ["analyze", corpus, "--catalog", catalog, "--threshold", "0.2",
+         "--out", root / "analyze"],
+        ["eval", corpus, "--catalog", catalog, "--sweep", "0.03,0.2,1", "--folds", "2",
+         "--out", root / "eval-sweep.json"],
+        ["communities", corpus, "--out", root / "communities.json"],
+    ]
+    for index in (0, 1):
+        graph = corpus / f"shaped-{index}.json"
+        argvs.append(["partition", graph, "--catalog", catalog, "--threshold", "0.2",
+                      "--out", root / f"partition-{index}.json"])
+        argvs.append(["covertness", graph, "--catalog", catalog, "--hops", "2",
+                      "--out", root / f"covertness-{index}.json"])
+    return [[str(a) for a in argv] for argv in argvs]
+
+
+SHAPED_GOLDEN = {
+    "analyze/features.csv":
+        "fe496cd663dc3eed1694ed0b63974cfe4bd7824e6807eb3e4b8aa2983fc2f9ff",
+    "analyze/partitions.json":
+        "07b5d4eb0c0ff45cc51dab58584e885dc6a925318ec2ef892c9e48ee222cd498",
+    "catalog.txt":
+        "46b802764a0f6e7e660d7f17d9f68021445d248231cd7858d1e0ce98e66878d3",
+    "communities.json":
+        "1bb1d0eeeb86b88c36aa335c7d48860f71c2df4e4b43ff9130082a89b2e93e8b",
+    "covertness-0.json":
+        "28fa7f4275259452ffa086b8a09a58c3e4bb15b2bb2d2a409c51e57bdc0dad09",
+    "covertness-1.json":
+        "e999674c6e62449271eade4af135bf868d952c40b00c1904c077fdbcc9012655",
+    "eval-sweep.json":
+        "59156873dc1e89030abfb371c2c6beffc04802433aa2172dad74a562c37ddbd5",
+    "graphs/shaped-0.json":
+        "8a11fa20edaa0fd8ef801d9e4f869e3c91b7271a218efa592848df0532b27338",
+    "graphs/shaped-1.json":
+        "7673268d1bff3296fe3fe7913513f71b94580177f2e12e5181de3a8e567dddd3",
+    "graphs/shaped-2.json":
+        "f896bee293e8451e53c593276b261aa2708cfe82d8ac00439d8dbbfd22f5d5b3",
+    "graphs/shaped-3.json":
+        "2a89d52d1664b6db07e31526a60aff96d2aec68d765146c170aef613fad93ca7",
+    "graphs/shaped-4.json":
+        "f926c3a1bff7e9bf6d4dd4c7ac452afc91108cdf0e85907b657b534b9639e326",
+    "graphs/shaped-5.json":
+        "22856a3b782bca4feb0f6ff24504f2e27a594c7f50626b105eaef18f13bd9438",
+    "graphs/shaped-6.json":
+        "053ec0e0c314554cb36b7528d87f2f28f270c8db6f9c611a1286d9f8c29bb254",
+    "graphs/shaped-7.json":
+        "d6716463d2b5db5602ba953e6c58d1443cbc59d824587924defeeb7a150ea26c",
+    "partition-0.json":
+        "884aacd5d214fc54018e6f6d6592044095b27e40f7259aa44933406d533b2f9b",
+    "partition-1.json":
+        "f9dbddf02425823775b4640a573417e7b51b378f34ab63bbf3b4dc586dbc2070",
+}
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
-    return output_hashes(tmp_path_factory.mktemp("golden"))
+    root = tmp_path_factory.mktemp("golden")
+    return output_hashes(root, commands(root))
+
+
+@pytest.fixture(scope="module")
+def shaped_produced(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shaped")
+    return output_hashes(root, shaped_commands(root))
 
 
 def test_same_files(produced):
@@ -110,3 +255,12 @@ def test_same_files(produced):
 @pytest.mark.parametrize("path", sorted(GOLDEN))
 def test_bytes_match_table(produced, path):
     assert produced.get(path) == GOLDEN[path]
+
+
+def test_shaped_same_files(shaped_produced):
+    assert sorted(shaped_produced) == sorted(SHAPED_GOLDEN)
+
+
+@pytest.mark.parametrize("path", sorted(SHAPED_GOLDEN))
+def test_shaped_bytes_match_table(shaped_produced, path):
+    assert shaped_produced.get(path) == SHAPED_GOLDEN[path]

@@ -240,7 +240,7 @@ class TestCatalog:
         assert catalog.entries == ("b.Second", "a.First")
 
     def test_duplicate_rejected(self):
-        with pytest.raises(CatalogError, match="duplicate"):
+        with pytest.raises(CatalogError, match=":2: duplicate"):
             parse_catalog("api.One\napi.One\n")
 
     def test_empty_rejected(self):
@@ -275,3 +275,57 @@ class TestSubgraph:
         g = make_graph(2, [(0, 1)], names={0: "keep.Api.call", 1: "other.X.y"})
         flagged = apply_catalog(g, SensitiveApiCatalog(entries=("keep.Api",)))
         assert flagged.sensitive_ids == {0}
+
+
+class TestAdjacency:
+    def test_agrees_with_networkx(self):
+        # Raw edge lists keep duplicates, self-loops and both directions of a
+        # pair, so the index must merge them; ids around and above 2**63
+        # must work, since only positions enter the arrays.
+        nx = pytest.importorskip("networkx")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ids = st.one_of(st.integers(0, 40), st.integers(2**63 - 3, 2**63 + 3),
+                        st.integers(2**64, 2**70))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def agrees(data):
+            node_ids = data.draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+            arc = st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids))
+            edges = data.draw(st.lists(arc, max_size=40))
+            nodes = tuple(FunctionNode(id=i, name=f"f{i}") for i in node_ids)
+            adjacency = CallGraph("h", nodes, tuple(edges)).adjacency
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(node_ids)
+            digraph.add_edges_from((u, v) for u, v in edges if u != v)
+            undirected = digraph.to_undirected()
+
+            ids_ = adjacency.ids
+            assert ids_ == tuple(sorted(node_ids))
+            assert adjacency.position == {nid: i for i, nid in enumerate(ids_)}
+            assert adjacency.edge_count == undirected.number_of_edges()
+            neighbours = adjacency.neighbours()
+            assert [[ids_[j] for j in nbrs] for nbrs in neighbours] == [
+                sorted(undirected[u]) for u in ids_
+            ]
+            assert adjacency.rows.tolist() == [i for i, nbrs in enumerate(neighbours)
+                                              for _ in nbrs]
+            entries = zip(adjacency.rows.tolist(), adjacency.indices.tolist(),
+                          adjacency.dyads.tolist())
+            for i, j, code in entries:
+                u, v = ids_[i], ids_[j]
+                assert code == digraph.has_edge(u, v) + 2 * digraph.has_edge(v, u)
+
+        agrees()
+
+    def test_parsed_graph_with_large_ids(self):
+        big = 2**63 + 5
+        g = parse_graph(doc(nodes=[{"id": big, "name": "a"}, {"id": 3, "name": "b"},
+                                   {"id": 9, "name": "c"}],
+                            edges=[[big, 3], [3, big], [9, 3], [9, 3], [9, 9]]))
+        adjacency = g.adjacency
+        assert adjacency.ids == (3, 9, big)
+        assert adjacency.neighbours() == [[1, 2], [0], [0]]
+        assert adjacency.dyads.tolist() == [2, 3, 1, 3]
+        assert adjacency.indptr.tolist() == [0, 2, 3, 4]
