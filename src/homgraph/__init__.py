@@ -19,7 +19,6 @@ from .community import (
 )
 from .features import (
     SELECTED_TRIADS,
-    FeatureVector,
     TriadCensus,
     featurize,
     ratio_features,
@@ -56,7 +55,6 @@ __all__ = [
     "CouplingReport",
     "CovertnessReport",
     "CrossValidationReport",
-    "FeatureVector",
     "FunctionNode",
     "GraphAnalysis",
     "LabeledSample",

@@ -202,10 +202,10 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     _check_threshold(args)
-    catalog = load_catalog(args.catalog)
-    graph = load_graph(args.path, catalog)
-    analysis = pipeline.analyze_graph(graph, catalog, args.threshold, args.seed)
-    _emit(_json_text(analysis.report), args.out)
+    graph = load_graph(args.path, load_catalog(args.catalog))
+    partition = community.detect_multilevel(graph, args.seed)
+    outcome = homophily.partition_suspicious(graph, partition, args.threshold)
+    _emit(_json_text(pipeline.partition_report(graph, partition, outcome)), args.out)
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """Feature extraction from the suspicious subgraph.
 
-Two blocks are produced per graph and concatenated:
+Each graph gives one row of two blocks, concatenated:
 
 * presence: one 0/1 entry per catalog API, set when any subgraph node
   matches that entry;
@@ -51,7 +51,7 @@ _TRICODES = (
 _CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
 
 SELECTED_TRIADS = ("021D", "021U", "021C", "111U", "030T", "120U")
-_SELECTED_SET = frozenset(SELECTED_TRIADS)
+_SELECTED_INDEX = {name: i for i, name in enumerate(SELECTED_TRIADS)}
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,15 @@ class TriadCensus:
     its dyads; the "003" slot therefore stays 0 and edgeless triples are
     reported in ``edgeless_triples``. ``sensitive_counts`` maps
     (catalog index, selected type) to the number of triads of that type
-    containing a node matching that catalog entry (each triad once).
+    containing a node matching that catalog entry (each triad once), and
+    ``matched_entries`` the catalog indices that some node matches, ascending.
     """
 
     total_counts: dict[str, int]
     sensitive_counts: dict[tuple[int, str], int]
     edgeless_triples: int
     node_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Presence block followed by the triad-ratio block.
-
-    Ratio order is catalog-major with the six selected triad types as the
-    inner dimension, so the total dimension is 7 * |catalog|.
-    """
-
-    presence: np.ndarray
-    ratios: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.presence) + len(self.ratios)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.presence, self.ratios])
+    matched_entries: tuple[int, ...]
 
 
 def _catalog_hits(graph: CallGraph, catalog: SensitiveApiCatalog) -> dict[int, tuple[int, ...]]:
@@ -101,20 +84,14 @@ def _catalog_hits(graph: CallGraph, catalog: SensitiveApiCatalog) -> dict[int, t
 def triad_census(
     subgraph: CallGraph, catalog: SensitiveApiCatalog | None = None
 ) -> TriadCensus:
-    """Classify every node triple of a normalized directed graph.
+    """Classify every node triple of a normalized directed graph, by counting.
 
-    ``catalog`` drives the per-API sensitive counts; without it only the
-    type totals are populated.
+    ``catalog`` drives the per-API sensitive counts and the matched entries;
+    without it only the type totals are populated. Open and one-edge triads
+    follow from degrees (Moody 1998) once the triangles are known, and only
+    the triangles are listed.
     """
-    return _census(subgraph, _catalog_hits(subgraph, catalog) if catalog is not None else {})
-
-
-def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> TriadCensus:
-    """:func:`triad_census` from each node's catalog hits, by counting.
-
-    Open and one-edge triads follow from degrees (Moody 1998) once the
-    triangles are known, and only the triangles are listed.
-    """
+    api_matches = _catalog_hits(subgraph, catalog) if catalog is not None else {}
     adjacency = subgraph.adjacency
     n = len(adjacency.ids)
     codes = iter(adjacency.dyads.tolist())  # each zip below takes one row's codes
@@ -160,6 +137,7 @@ def _census(subgraph: CallGraph, api_matches: dict[int, tuple[int, ...]]) -> Tri
         sensitive_counts=_sensitive_counts(links, api_matches),
         edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
         node_count=n,
+        matched_entries=tuple(sorted({i for found in api_matches.values() for i in found})),
     )
 
 
@@ -184,7 +162,7 @@ def _sensitive_counts(
             # z adjacent to y but not to x.
             for z in [*arms[i + 1:], *(links[y].keys() - beyond)]:
                 name = _CODE_TO_NAME[_tricode(links, x, y, z)]
-                if name in _SELECTED_SET:
+                if name in _SELECTED_INDEX:
                     for api in apis:
                         earlier = walked.get(api)
                         if earlier and (y in earlier or z in earlier):
@@ -203,43 +181,27 @@ def _tricode(links: list[dict[int, int]], v: int, u: int, w: int) -> int:
     return lv.get(u, 0) | lv.get(w, 0) << 2 | links[u].get(w, 0) << 4
 
 
-def _presence(api_matches: dict[int, tuple[int, ...]], catalog: SensitiveApiCatalog) -> np.ndarray:
-    """0/1 vector: entry i set when some node matches catalog entry i."""
-    vec = np.zeros(len(catalog), dtype=np.float64)
-    vec[[idx for found in api_matches.values() for idx in found]] = 1.0
-    return vec
-
-
 def ratio_features(census: TriadCensus, catalog: SensitiveApiCatalog) -> np.ndarray:
     """Sensitive-triad ratios, catalog-major over the six selected types.
 
-    ratio(api, t) = sensitive_counts(api, t) / total_counts(t), or 0 when
-    the subgraph has no triads of type t.
+    ratio(api, t) = sensitive_counts(api, t) / total_counts(t); a cell
+    without sensitive triads stays 0.
     """
     width = len(SELECTED_TRIADS)
     vec = np.zeros(len(catalog) * width, dtype=np.float64)
-    for t_idx, name in enumerate(SELECTED_TRIADS):
-        total = census.total_counts[name]
-        if total == 0:
-            continue
-        for api in range(len(catalog)):
-            count = census.sensitive_counts.get((api, name), 0)
-            if count:
-                vec[api * width + t_idx] = count / total
+    for (api, name), count in census.sensitive_counts.items():
+        vec[api * width + _SELECTED_INDEX[name]] = count / census.total_counts[name]
     return vec
 
 
-def featurize(outcome: PartitionOutcome, catalog: SensitiveApiCatalog) -> FeatureVector:
-    """Feature vector of a partition outcome's suspicious subgraph.
-
-    Each node is matched against the catalog once, for both blocks.
-    """
-    subgraph = outcome.suspicious_subgraph
-    hits = _catalog_hits(subgraph, catalog)
-    return FeatureVector(
-        presence=_presence(hits, catalog),
-        ratios=ratio_features(_census(subgraph, hits), catalog),
-    )
+def featurize(outcome: PartitionOutcome, catalog: SensitiveApiCatalog) -> np.ndarray:
+    """Feature row of a partition outcome's suspicious subgraph: the presence
+    block, one 0/1 entry per catalog entry, then the ratio block, for
+    7 * |catalog| values. Each node is matched against the catalog once."""
+    census = triad_census(outcome.suspicious_subgraph, catalog)
+    presence = np.zeros(len(catalog), dtype=np.float64)
+    presence[list(census.matched_entries)] = 1.0
+    return np.concatenate([presence, ratio_features(census, catalog)])
 
 
 def feature_names(catalog: SensitiveApiCatalog) -> list[str]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .homophily import coupling_from_counts
 from .model import (
@@ -191,26 +192,20 @@ def _generate_graph(
     planted = list(range(rest_n, spec.node_count))
 
     pairs: set[tuple[int, int]] = set()
-    rest_edges = 0
     for block in blocks:
         available = len(block) * (len(block) - 1) // 2
         want = round(spec.intra_edge_prob * available)
-        block_pairs = _sample_block_pairs(rng, block, None, want)
-        pairs.update(block_pairs)
-        rest_edges += len(block_pairs)
+        pairs.update(_sample_block_pairs(rng, block, None, want))
     for bi in range(len(blocks)):
         for bj in range(bi + 1, len(blocks)):
             want = round(spec.inter_edge_prob * len(blocks[bi]) * len(blocks[bj]))
-            cross = _sample_block_pairs(rng, blocks[bi], blocks[bj], want)
-            pairs.update(cross)
-            rest_edges += len(cross)
+            pairs.update(_sample_block_pairs(rng, blocks[bi], blocks[bj], want))
+    # Blocks are disjoint, so no pair was drawn twice.
+    rest_edges = len(pairs)
 
     # Planted community is a clique: dense enough to survive detection.
-    planted_edges = 0
-    for a in range(planted_size):
-        for b in range(a + 1, planted_size):
-            pairs.add((planted[a], planted[b]))
-            planted_edges += 1
+    pairs.update(combinations(planted, 2))
+    planted_edges = planted_size * (planted_size - 1) // 2
 
     target = (
         spec.planted_coupling_target if label == MALWARE else spec.benign_coupling_target
@@ -244,11 +239,8 @@ def _generate_graph(
         )
     stride = max(1, cross_count // api_callers) if api_callers else 0
     caller_slots = {i * stride for i in range(api_callers)}
-    per_block = [cross_count // len(blocks)] * len(blocks)
-    for b in range(cross_count % len(blocks)):
-        per_block[b] += 1
-    cross_pairs: set[tuple[int, int]] = set()
-    forced_direction: dict[tuple[int, int], tuple[int, int]] = {}
+    per_block = _block_sizes(cross_count, len(blocks))
+    forced: set[tuple[int, int]] = set()  # caller -> API arcs, kept in this direction
     api_list = sorted(api_nodes)
     slot = 0
     caller_seen = 0
@@ -261,13 +253,12 @@ def _generate_graph(
         for v in rng.sample(block, quota):
             if slot in caller_slots:
                 u = api_list[caller_seen % len(api_list)]
-                forced_direction[(v, u)] = (v, u)
+                forced.add((v, u))
                 caller_seen += 1
             else:
                 u = gateways[slot % len(gateways)]
-            cross_pairs.add((v, u))
+            pairs.add((v, u))
             slot += 1
-    pairs.update(cross_pairs)
 
     measured = coupling_from_counts(
         planted_size, rest_n, planted_edges, rest_edges, cross_count
@@ -294,9 +285,8 @@ def _generate_graph(
 
     edges = []
     for u, v in sorted(pairs):
-        forced = forced_direction.get((u, v))
-        if forced is not None:
-            edges.append(forced)
+        if (u, v) in forced:
+            edges.append((u, v))
         elif rng.random() < 0.5:
             edges.append((u, v))
         else:

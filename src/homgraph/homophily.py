@@ -14,6 +14,7 @@ parts, within either part or across (the worked 5/18 example).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -212,8 +213,8 @@ def _judge(graph: CallGraph, benign: frozenset[int], coupled: list, threshold: f
            subgraphs: dict) -> PartitionOutcome:
     """The outcome at ``threshold`` of (members, coupling) pairs. ``subgraphs``
     holds the suspicious subgraph of each verdict tuple built so far."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     communities = tuple(
         SensitiveCommunity(members, report,
                            FILTERED_BENIGN if report.c > threshold else SUSPICIOUS)

@@ -239,11 +239,15 @@ def parse_catalog(text: str, source: str = "<memory>") -> SensitiveApiCatalog:
 
 
 def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
-    """Recompute every node's sensitivity flag from ``catalog``."""
-    nodes = tuple(
-        replace(n, sensitive=bool(matching_entries(n.name, catalog))) for n in graph.nodes
-    )
-    return replace(graph, nodes=nodes)
+    """Recompute every node's sensitivity flag from ``catalog``: a node is
+    sensitive exactly when ``catalog.pattern`` finds its name. A node whose
+    flag does not change is kept as the same object."""
+    search = catalog.pattern.search
+    nodes = []
+    for n in graph.nodes:
+        sensitive = search(n.name) is not None
+        nodes.append(n if n.sensitive == sensitive else FunctionNode(n.id, n.name, sensitive))
+    return replace(graph, nodes=tuple(nodes))
 
 
 def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
@@ -257,15 +261,9 @@ def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
     return replace(graph, nodes=nodes, edges=edges)
 
 
-def parse_graph(
-    data: str | bytes, catalog: SensitiveApiCatalog | None = None, source: str = "<memory>"
-) -> CallGraph:
-    """Parse one wire-format document into its normalized graph.
-
-    When ``catalog`` is given, sensitivity flags are recomputed from it;
-    otherwise flags pre-set in the document are kept, so the result with a
-    catalog equals :func:`apply_catalog` of the result without one.
-    """
+def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:
+    """Parse one wire-format document into its normalized graph, keeping the
+    document's sensitivity flags."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -285,8 +283,8 @@ def parse_graph(
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GraphFormatError(f"{source}: 'nodes' must be a non-empty array")
-    # Build the normalized graph directly: flag each node from the catalog as
-    # it is made and de-duplicate edges as they are read. JSON decoding gives
+    # Build the normalized graph directly, de-duplicating edges as they are
+    # read. JSON decoding gives
     # exact types, so ``type(x) is int`` takes every integer but no boolean.
     nodes: list[FunctionNode] = []
     seen_ids: set[int] = set()
@@ -306,8 +304,6 @@ def parse_graph(
         sensitive = rn.get("sensitive", False)
         if type(sensitive) is not bool:
             raise GraphFormatError(f"{where}: 'sensitive' must be a boolean")
-        if catalog is not None:
-            sensitive = catalog.pattern.search(name) is not None
         nodes.append(FunctionNode(id=nid, name=name, sensitive=sensitive))
     nodes.sort(key=attrgetter("id"))
 
@@ -348,9 +344,12 @@ def serialize_graph(graph: CallGraph) -> str:
 
 
 def load_graph(path: str | Path, catalog: SensitiveApiCatalog | None = None) -> CallGraph:
+    """Parse a graph file; with ``catalog``, flags then come from
+    :func:`apply_catalog`, otherwise the document's flags are kept."""
     path = Path(path)
     try:
         data = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphFormatError(f"cannot read graph {path}: {exc}") from exc
-    return parse_graph(data, catalog=catalog, source=str(path))
+    graph = parse_graph(data, source=str(path))
+    return graph if catalog is None else apply_catalog(graph, catalog)

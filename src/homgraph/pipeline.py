@@ -55,7 +55,7 @@ def analyze_graph(
     features: dict[int, np.ndarray] = {}
     for o in outcomes:
         if id(o.suspicious_subgraph) not in features:
-            features[id(o.suspicious_subgraph)] = featurize(o, catalog).as_array()
+            features[id(o.suspicious_subgraph)] = featurize(o, catalog)
     return GraphAnalysis(
         app_id=graph.app_id,
         label=graph.ground_truth,

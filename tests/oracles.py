@@ -201,6 +201,14 @@ def contained_entries(name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...
     return tuple(i for i, entry in enumerate(catalog.entries) if entry in name)
 
 
+def flag_from_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
+    """``graph`` with every node flagged exactly when its name contains a
+    catalog entry, by plain substring tests."""
+    nodes = tuple(replace(n, sensitive=bool(contained_entries(n.name, catalog)))
+                  for n in graph.nodes)
+    return replace(graph, nodes=nodes)
+
+
 def _substring_hits(graph: CallGraph, catalog: SensitiveApiCatalog | None) -> dict[int, tuple[int, ...]]:
     """Catalog entries inside each node's name, by plain substring tests."""
     if catalog is None:

@@ -66,8 +66,8 @@ def test_criterion_2_feature_dimensions(catalog):
     big = SensitiveApiCatalog(entries=tuple(f"api.pkg.C{i}.m{i}" for i in range(426)))
     g = make_graph(3, [(0, 1)])
     outcome = PartitionOutcome(frozenset(), (), g, 3.0)
-    dim_big = featurize(outcome, big).dimension
-    dim_desk = featurize(outcome, catalog).dimension
+    dim_big = len(featurize(outcome, big))
+    dim_desk = len(featurize(outcome, catalog))
     ok = dim_big == 2982 and dim_desk == 70
     report(2, "426-entry catalog gives 2,982 dims; 10-entry gives 70", ok,
            f"{dim_big} and {dim_desk}")

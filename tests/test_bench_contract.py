@@ -60,6 +60,10 @@ def test_every_per_layer_metric_is_produced(installed_tracer, tmp_path):
         if not m["name"].startswith("traced.") and m["name"] != LABEL_PROPAGATION
     }
     assert sorted(declared - metrics.keys()) == []
+    # Flagging and the census each have one entry point, so the metrics
+    # that time them see real work.
+    for name in ("features.census_s", "features.triads_classified", "model.apply_catalog_s"):
+        assert metrics[name] > 0, name
 
 
 def test_label_propagation_entry_point():

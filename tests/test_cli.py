@@ -88,7 +88,7 @@ class TestUsageErrors:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr("homgraph.pipeline.analyze_graph", boom)
+        monkeypatch.setattr("homgraph.homophily.partition_suspicious", boom)
         assert run("partition", str(graph), "--out", str(tmp_path / "x.json")) == 3
 
 
@@ -204,6 +204,21 @@ class TestPartition:
             assert set(sc["coupling"]) == {"n_a", "n_b", "e_a", "e_b", "s", "c",
                                            "denominator"}
             assert sc["coupling"]["denominator"] == "total"
+
+    def test_computes_no_features(self, tmp_path, monkeypatch):
+        # A partition report needs no feature row, so featurize never runs.
+        corpus = gen_corpus(tmp_path)
+        graph = next(p for p in sorted(corpus.iterdir()) if p.name.startswith("malware"))
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert run("partition", str(graph), "--out", str(before)) == 0
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("featurize called")
+
+        monkeypatch.setattr("homgraph.features.featurize", boom)
+        monkeypatch.setattr("homgraph.pipeline.featurize", boom)
+        assert run("partition", str(graph), "--out", str(after)) == 0
+        assert after.read_bytes() == before.read_bytes()
 
     def test_no_sensitive_nodes_reports_empty(self, tmp_path):
         g = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)], app_id="plain")

@@ -15,7 +15,7 @@ from homgraph.homophily import PartitionOutcome
 from homgraph.model import CallGraph, SensitiveApiCatalog
 
 from conftest import make_graph
-from oracles import brute_census, undirected_neighbors, walk_census
+from oracles import brute_census, contained_entries, undirected_neighbors, walk_census
 
 
 def dyad_edges(rng, n, edge_prob, mutual_prob):
@@ -108,6 +108,8 @@ class TestCensus:
             g = make_graph(n, dyad_edges(rng, n, 0.15, mutual_prob), names=node_names)
 
             census = triad_census(g, catalog)
+            assert census.matched_entries == tuple(sorted(
+                {i for n in g.nodes for i in contained_entries(n.name, catalog)}))
             for totals, edgeless, sensitive in (
                 walk_census(g, catalog), brute_census(g, catalog)
             ):
@@ -229,18 +231,18 @@ class TestRatioFeatures:
 class TestPresence:
     def test_empty_subgraph_all_zero(self, desk_catalog):
         empty = CallGraph(app_id="x", nodes=(), edges=())
-        vec = featurize(outcome_for(empty), desk_catalog).presence
+        vec = featurize(outcome_for(empty), desk_catalog)[:10]
         assert vec.shape == (10,) and not vec.any()
 
     def test_single_match_sets_single_entry(self, desk_catalog):
         names = {0: desk_catalog.entries[0] + "()V", 1: "com.x.Y.z"}
         g = make_graph(2, [(0, 1)], names=names)
-        vec = featurize(outcome_for(g), desk_catalog).presence
+        vec = featurize(outcome_for(g), desk_catalog)[:10]
         assert vec[0] == 1.0 and vec[1:].sum() == 0
 
     def test_entries_binary(self, tiny_catalog):
         g = make_graph(3, [(0, 1)], names={0: "api5", 1: "api5 again", 2: "api6"})
-        vec = featurize(outcome_for(g), tiny_catalog).presence
+        vec = featurize(outcome_for(g), tiny_catalog)[:2]
         assert set(vec.tolist()) <= {0.0, 1.0}
         assert vec.tolist() == [1.0, 1.0]
 
@@ -248,31 +250,31 @@ class TestPresence:
 class TestFeaturize:
     def test_dimension_426_catalog(self):
         catalog = SensitiveApiCatalog(entries=tuple(f"api.pkg.Cls{i}.m{i}" for i in range(426)))
-        fv = featurize(outcome_for(make_graph(3, [(0, 1)])), catalog)
-        assert len(fv.presence) == 426
-        assert len(fv.ratios) == 2556
-        assert fv.dimension == 2982
+        row = featurize(outcome_for(make_graph(3, [(0, 1)])), catalog)
+        assert row.shape == (2982,) and row.dtype == np.float64
 
     def test_dimension_desk_catalog(self, desk_catalog):
-        fv = featurize(outcome_for(make_graph(3, [(0, 1)])), desk_catalog)
-        assert fv.dimension == 70
+        row = featurize(outcome_for(make_graph(3, [(0, 1)])), desk_catalog)
+        assert len(row) == 70
 
     def test_empty_subgraph_zero_vector(self, desk_catalog):
         empty = CallGraph(app_id="x", nodes=(), edges=())
-        fv = featurize(outcome_for(empty), desk_catalog)
-        assert fv.dimension == 70 and not fv.as_array().any()
+        row = featurize(outcome_for(empty), desk_catalog)
+        assert len(row) == 70 and not row.any()
 
     def test_pure_function(self, tiny_catalog):
         g = fig_graph()
-        a = featurize(outcome_for(g), tiny_catalog).as_array()
-        b = featurize(outcome_for(g), tiny_catalog).as_array()
+        a = featurize(outcome_for(g), tiny_catalog)
+        b = featurize(outcome_for(g), tiny_catalog)
         assert np.array_equal(a, b)
 
     def test_vector_order_presence_then_ratios(self, tiny_catalog):
-        fv = featurize(outcome_for(fig_graph()), tiny_catalog)
-        arr = fv.as_array()
-        assert np.array_equal(arr[:2], fv.presence)
-        assert np.array_equal(arr[2:], fv.ratios)
+        g = fig_graph()
+        row = featurize(outcome_for(g), tiny_catalog)
+        census = triad_census(g, tiny_catalog)
+        assert census.matched_entries == (0, 1)
+        assert row[:2].tolist() == [1.0, 1.0]
+        assert np.array_equal(row[2:], ratio_features(census, tiny_catalog))
 
     def test_feature_names_order(self, tiny_catalog):
         names = feature_names(tiny_catalog)

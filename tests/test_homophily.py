@@ -20,6 +20,7 @@ from homgraph.homophily import (
 )
 
 from homgraph.model import SensitiveApiCatalog, apply_catalog, induced_subgraph
+from homgraph.pipeline import analyze_graph
 
 from conftest import make_graph, random_digraph
 from oracles import (
@@ -266,6 +267,19 @@ class TestPartitionSuspicious:
         with pytest.raises(ValueError):
             at_thresholds(g, outcome, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, bad, desk_catalog):
+        # A NaN threshold would leave every community suspicious and reach
+        # the partition report as the non-JSON token NaN.
+        g, partition, _ = seven_community_graph()
+        with pytest.raises(ValueError, match="finite"):
+            partition_suspicious(g, partition, bad)
+        outcome = partition_suspicious(g, partition, threshold=3.0)
+        with pytest.raises(ValueError, match="finite"):
+            at_thresholds(g, outcome, [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            analyze_graph(g, desk_catalog, bad)
+
 
 # Entries of different lengths, some inside others, so one name can hit several.
 SCATTER_CATALOG = SensitiveApiCatalog(entries=(
@@ -367,9 +381,9 @@ class TestOnePassPartition:
         subgraph = outcome.suspicious_subgraph
         assert subgraph.sensitive_ids
         presence, ratios = expected_features(subgraph, SCATTER_CATALOG)
-        vector = featurize(outcome, SCATTER_CATALOG)
-        assert vector.presence.tolist() == presence
-        assert vector.ratios.tolist() == pytest.approx(ratios, abs=1e-12)
+        row = featurize(outcome, SCATTER_CATALOG)
+        assert row[:len(SCATTER_CATALOG)].tolist() == presence
+        assert row[len(SCATTER_CATALOG):].tolist() == pytest.approx(ratios, abs=1e-12)
 
 
 class TestAtThresholds:

@@ -12,6 +12,7 @@ from homgraph.model import (
     apply_catalog,
     induced_subgraph,
     load_catalog,
+    load_graph,
     matching_entries,
     parse_catalog,
     parse_graph,
@@ -19,7 +20,7 @@ from homgraph.model import (
 )
 
 from conftest import make_graph
-from oracles import contained_entries, normalize
+from oracles import contained_entries, flag_from_catalog, normalize
 
 
 def doc(**overrides):
@@ -73,14 +74,13 @@ class TestParse:
                                    {"id": 1, "name": "y"}], edges=[]))
         assert g.sensitive_ids == {0}
 
-    def test_catalog_overrides_input_flags(self):
+    def test_catalog_overrides_input_flags(self, tmp_path):
         catalog = SensitiveApiCatalog(entries=("d.E.f",))
-        g = parse_graph(
-            doc(nodes=[{"id": 0, "name": "a.B.c", "sensitive": True},
-                       {"id": 1, "name": "d.E.f"}], edges=[]),
-            catalog=catalog,
-        )
-        assert g.sensitive_ids == {1}
+        path = tmp_path / "app.json"
+        path.write_text(doc(nodes=[{"id": 0, "name": "a.B.c", "sensitive": True},
+                                   {"id": 1, "name": "d.E.f"}], edges=[]), encoding="utf-8")
+        assert load_graph(path, catalog).sensitive_ids == {1}
+        assert load_graph(path).sensitive_ids == {0}
 
     def test_round_trip_random_graphs(self):
         rng = random.Random(42)
@@ -107,9 +107,11 @@ class TestParse:
         with pytest.raises(GraphFormatError, match=r"nodes\[1\]: 'id' must be"):
             parse_graph(doc(nodes=nodes, edges=[]))
 
-    def test_equals_normalize_then_apply_catalog(self):
-        # parse_graph builds the normalized, catalog-flagged graph in one pass;
-        # it must equal the two-pass form of the same document.
+    def test_equals_normalize_then_apply_catalog(self, tmp_path):
+        # parse_graph builds the normalized graph in one pass, keeping the
+        # document's flags, and load_graph then flags from the catalog; each
+        # must equal the plain-pass form of the same document.
+        path = tmp_path / "app.json"
         rng = random.Random(8)
         catalog = SensitiveApiCatalog(entries=("api.Net", "Tel.id", "x"))
         names = ["com.a.B.c", "lib.api.Net.send()", "pkg.Tel.id()V", "q.x", "w"]
@@ -126,7 +128,9 @@ class TestParse:
                 edges=tuple(tuple(e) for e in edges),
             )
             assert parse_graph(text) == normalize(as_read)
-            assert parse_graph(text, catalog) == apply_catalog(normalize(as_read), catalog)
+            path.write_text(text, encoding="utf-8")
+            assert load_graph(path) == normalize(as_read)
+            assert load_graph(path, catalog) == flag_from_catalog(normalize(as_read), catalog)
 
     def test_round_trip_unicode_names(self):
         g = make_graph(2, [(0, 1)], names={0: "pkg.Класс.メソッド", 1: "x.Y.z"})
@@ -226,7 +230,7 @@ class TestMatchSensitive:
                 expected = contained_entries(name, catalog)
                 assert matching_entries(name, catalog) == expected, (entries, name)
                 one_node = json.dumps({"app_id": "x", "nodes": [{"id": 0, "name": name}]})
-                flagged = parse_graph(one_node, catalog=catalog).nodes[0].sensitive
+                flagged = apply_catalog(parse_graph(one_node), catalog).nodes[0].sensitive
                 assert flagged == bool(expected), (entries, name)
 
 
@@ -275,6 +279,18 @@ class TestSubgraph:
         g = make_graph(2, [(0, 1)], names={0: "keep.Api.call", 1: "other.X.y"})
         flagged = apply_catalog(g, SensitiveApiCatalog(entries=("keep.Api",)))
         assert flagged.sensitive_ids == {0}
+
+    def test_apply_catalog_keeps_unchanged_nodes(self):
+        # Only a node whose flag changes is rebuilt; the rest stay the same
+        # objects, so flagging a graph whose document flags already agree
+        # copies nothing.
+        catalog = SensitiveApiCatalog(entries=("keep.Api",))
+        names = {0: "keep.Api.call", 1: "other.X.y", 2: "keep.Api.run", 3: "z"}
+        g = make_graph(4, [(0, 1), (2, 3)], sensitive=[0, 3], names=names)
+        flagged = apply_catalog(g, catalog)
+        assert flagged == flag_from_catalog(g, catalog)
+        kept = [a is b for a, b in zip(g.nodes, flagged.nodes)]
+        assert kept == [True, True, False, False]
 
 
 class TestAdjacency:
