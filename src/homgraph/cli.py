@@ -61,9 +61,10 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-def _check_threshold(args: argparse.Namespace) -> None:
-    if not (math.isfinite(args.threshold) and args.threshold > 0):
-        raise InputError(f"--threshold must be positive, got {args.threshold}")
+def _check_threshold(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -201,7 +202,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    _check_threshold(args)
+    _check_threshold("--threshold", args.threshold)
     graph = load_graph(args.path, load_catalog(args.catalog))
     partition = community.detect_multilevel(graph, args.seed)
     outcome = homophily.partition_suspicious(graph, partition, args.threshold)
@@ -221,7 +222,7 @@ def cmd_covertness(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InputError("analyze requires --out DIRECTORY")
-    _check_threshold(args)
+    _check_threshold("--threshold", args.threshold)
     catalog = load_catalog(args.catalog)
     analyses = pipeline.analyze_corpus(pipeline.read_graphs(args.paths, catalog), catalog,
                                        args.threshold, args.seed)
@@ -300,7 +301,7 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_threshold(args)
+    _check_threshold("--threshold", args.threshold)
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     if args.folds < 2:
@@ -319,6 +320,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.features:
         if thresholds:
             raise InputError("--sweep needs graph paths (features must be re-extracted)")
+        if args.catalog is not None:
+            raise InputError("--catalog needs graph paths (features are already extracted)")
         samples = read_features_csv(args.features)
     else:
         catalog = load_catalog(args.catalog)
@@ -348,10 +351,7 @@ def _parse_thresholds(raw: str) -> list[float]:
         raise InputError(f"bad --sweep list {raw!r}: {exc}") from exc
     if not values:
         raise InputError("--sweep list is empty")
-    for value in values:
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"--sweep thresholds must be finite and positive, got {value}")
-    return values
+    return [_check_threshold("--sweep thresholds", value) for value in values]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -71,31 +71,34 @@ def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
     assignment = partition.assignment
     if assignment.keys() != graph.node_ids:
         raise ValueError(f"partition does not cover graph {graph.app_id!r} exactly")
-    adjacency = graph.adjacency
-    m = adjacency.edge_count
-    if m == 0:
+    if not graph.adjacency.edge_count:
         raise ModularityUndefinedError(
             f"graph {graph.app_id!r} has no edges; modularity is undefined"
         )
     dense: dict[int, int] = {}
-    comm = np.fromiter((dense.setdefault(assignment[nid], len(dense)) for nid in adjacency.ids),
-                       np.int64, len(adjacency.ids))
+    labels = [dense.setdefault(assignment[nid], len(dense)) for nid in graph.adjacency.ids]
+    return _q(graph, labels)
+
+
+def _q(graph: CallGraph, labels: list[int] | np.ndarray) -> float:
+    """Modularity of per-position community labels, each in [0, node count),
+    on a graph with edges. Communities are summed in order of first
+    appearance over the sorted undirected edges; every term is
+    integer-valued, so only that order can touch the last bit."""
+    adjacency = graph.adjacency
+    labels = np.asarray(labels)
     upper = adjacency.rows < adjacency.indices
-    cu, cv = comm[adjacency.rows[upper]], comm[adjacency.indices[upper]]
-    intra = np.bincount(cu[cu == cv], minlength=len(dense))
-    degree = np.bincount(comm[adjacency.rows], minlength=len(dense))
-    seen, first = np.unique(np.column_stack([cu, cv]).ravel(), return_index=True)
-    order = seen[np.argsort(first)]
-    return _q(intra[order].tolist(), degree[order].tolist(), m)
-
-
-def _q(intra: Iterable[float], degree: Iterable[float], m: float) -> float:
-    """Sum of intra_c / m - (degree_c / 2m)^2 over communities, in the order
-    given. Every term is integer-valued, so only that order can touch the
-    last bit."""
-    q = 0.0
+    ends = labels[np.column_stack([adjacency.rows[upper], adjacency.indices[upper]]).ravel()]
+    cu, cv = ends[0::2], ends[1::2]
+    intra = np.bincount(cu[cu == cv], minlength=len(labels))
+    degree = np.bincount(labels[adjacency.rows], minlength=len(labels))
+    first = np.full(len(labels), len(ends))
+    np.minimum.at(first, ends, np.arange(len(ends)))
+    order = np.argsort(first)[:np.count_nonzero(first < len(ends))]
+    m = adjacency.edge_count
     two_m = 2.0 * m
-    for e_c, d_c in zip(intra, degree):
+    q = 0.0
+    for e_c, d_c in zip(intra[order].tolist(), degree[order].tolist()):
         q += e_c / m - (d_c / two_m) ** 2
     return q
 
@@ -104,11 +107,11 @@ def _dense_partition(
     graph: CallGraph, labels: list[int], q_trace: tuple[float, ...] = ()
 ) -> CommunityPartition:
     """Relabel per-position community labels densely from 0, ordered by
-    smallest member id (positions ascend with ids), and score the result."""
+    smallest member id (positions ascend with ids). A multilevel run's Q is
+    its last pass's; other labels are scored here."""
     relabel = {label: k for k, label in enumerate(dict.fromkeys(labels))}
     assignment = {nid: relabel[label] for nid, label in zip(graph.adjacency.ids, labels)}
-    part = CommunityPartition(assignment, len(relabel), 0.0, q_trace)
-    q = modularity(graph, part) if graph.adjacency.edge_count else 0.0
+    q = q_trace[-1] if q_trace else (_q(graph, labels) if graph.adjacency.edge_count else 0.0)
     return CommunityPartition(assignment, len(relabel), q, q_trace)
 
 
@@ -118,7 +121,9 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     Alternates local moving (seed-permuted sweep order, ties to the smallest
     community id, only strictly improving moves, nodes with unchanged inputs
     skipped) with graph aggregation until a pass improves Q by at most
-    ``Q_IMPROVEMENT_TOL``. A pass's Q is read off the level it aggregated to.
+    ``Q_IMPROVEMENT_TOL``. Each pass is scored by ``_q`` on the partition it
+    induces on ``graph``, as ``modularity`` scores it, so the last ``q_trace``
+    entry is the partition's Q bit for bit.
     """
     adjacency = graph.adjacency
     if not adjacency.edge_count:
@@ -130,17 +135,16 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     self_loop = [0.0] * n
     total_w = float(adjacency.edge_count)
 
-    membership = list(range(n))  # original node index -> current community label
+    membership = np.arange(n)  # original node index -> current community label
     rng = random.Random(seed)
     q_trace: list[float] = []
-    prev_q = _level_q(adj, self_loop, total_w, range(n))
+    prev_q = _q(graph, membership)
 
     while True:
         comm = _local_moving(adj, self_loop, total_w, rng)
         adj, self_loop, relabel = _aggregate(adj, self_loop, comm)
-        for i in range(n):
-            membership[i] = relabel[comm[membership[i]]]
-        q = _level_q(adj, self_loop, total_w, [relabel[c] for c in dict.fromkeys(comm)])
+        membership = np.array([relabel[c] for c in comm])[membership]
+        q = _q(graph, membership)
         if not q >= prev_q - 1e-9:
             raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
         q_trace.append(q)
@@ -148,10 +152,7 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
             break
         prev_q = q
 
-    part = _dense_partition(graph, membership, tuple(q_trace))
-    if not abs(part.modularity_q - q_trace[-1]) < 1e-9:
-        raise RuntimeError(f"final Q {part.modularity_q} is not the last pass's {q_trace[-1]}")
-    return part
+    return _dense_partition(graph, membership.tolist(), tuple(q_trace))
 
 
 def _local_moving(
@@ -222,19 +223,6 @@ def _local_moving(
                 comm[i] = best_comm
                 moved = True
     return comm
-
-
-def _level_q(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
-    total_w: float,
-    order: Iterable[int],
-) -> float:
-    """Modularity of the partition whose communities are this level's nodes:
-    each node's self-loop is its community's internal weight and its
-    strength the community's degree."""
-    return _q((self_loop[c] for c in order),
-              (sum(adj[c].values()) + 2.0 * self_loop[c] for c in order), total_w)
 
 
 def _aggregate(

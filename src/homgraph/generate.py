@@ -12,6 +12,7 @@ of the spec seed; per-graph seeds derive from it by hashing.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -96,8 +97,9 @@ def _validate_spec(spec: SyntheticSpec, catalog: SensitiveApiCatalog) -> None:
             "at least one planted node must stay a non-API gateway"
         )
     for name in ("planted_coupling_target", "benign_coupling_target"):
-        if getattr(spec, name) <= 0:
-            raise InfeasibleSpecError(f"{name} must be positive")
+        target = getattr(spec, name)
+        if not (math.isfinite(target) and target > 0):
+            raise InfeasibleSpecError(f"{name} must be finite and positive, got {target}")
 
 
 def generate_corpus(

@@ -5,11 +5,12 @@ from dyad structure instead of the code table, coupling is recomputed with
 exact fractions over an explicit edge scan, reachability uses a plain BFS,
 and Louvain local moving re-evaluates every node on every sweep. Everything
 here is slow and only suitable for test sizes. Catalog hits are plain
-substring tests, Louvain's per-pass Q is recomputed from every edge of the
-level, and a second census classifies every connected triple one at a time
-with the production code table. Graphs are normalized in plain passes over
-nodes and edges rather than while parsing, and every neighbour set is built
-here from ``graph.edges``, never read from production's adjacency index.
+substring tests, a Louvain level's community totals and Q are recomputed
+from every edge of the level, and a second census classifies every
+connected triple one at a time with the production code table. Graphs are
+normalized in plain passes over nodes and edges rather than while parsing,
+and every neighbour set is built here from ``graph.edges``, never read from
+production's adjacency index.
 """
 
 from __future__ import annotations
@@ -307,18 +308,13 @@ def full_sweep_local_moving(
     return comm
 
 
-def weighted_q(
+def level_totals(
     adj: list[dict[int, float]],
     self_loop: list[float],
     comm: list[int],
-    total_w: float,
-) -> float:
-    """Modularity of a labeling on one weighted Louvain level, by edge scan.
-
-    The reference for the per-pass Q that ``community.detect_multilevel``
-    reads off the aggregated level: communities are summed in order of first
-    appearance in ``comm``.
-    """
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Internal weight and degree of each community of one weighted Louvain
+    level, by edge scan, keyed in order of first appearance in ``comm``."""
     intra: dict[int, float] = {}
     deg: dict[int, float] = {}
     for i, nbrs in enumerate(adj):
@@ -327,9 +323,26 @@ def weighted_q(
         intra[c] = intra.get(c, 0.0) + self_loop[i]
         for j, w in nbrs.items():
             if j > i and comm[j] == c:
-                intra[c] = intra.get(c, 0.0) + w
+                intra[c] += w
+    return intra, deg
+
+
+def weighted_q(
+    adj: list[dict[int, float]],
+    self_loop: list[float],
+    comm: list[int],
+    total_w: float,
+) -> float:
+    """Modularity of a labeling on one weighted Louvain level, by edge scan.
+
+    Aggregation keeps each community's internal weight and degree, so this
+    equals the Q of the partition the labeling induces on the original
+    graph, up to the order of the sum (communities here are summed in order
+    of first appearance in ``comm``).
+    """
+    intra, deg = level_totals(adj, self_loop, comm)
     q = 0.0
     two_w = 2.0 * total_w
     for c, d in deg.items():
-        q += intra.get(c, 0.0) / total_w - (d / two_w) ** 2
+        q += intra[c] / total_w - (d / two_w) ** 2
     return q

@@ -61,8 +61,10 @@ def test_every_per_layer_metric_is_produced(installed_tracer, tmp_path):
     }
     assert sorted(declared - metrics.keys()) == []
     # Flagging and the census each have one entry point, so the metrics
-    # that time them see real work.
-    for name in ("features.census_s", "features.triads_classified", "model.apply_catalog_s"):
+    # that time them see real work; the detect hook reads Louvain's q_trace
+    # and community count, so those must be real too.
+    for name in ("features.census_s", "features.triads_classified", "model.apply_catalog_s",
+                 "community.levels", "community.count"):
         assert metrics[name] > 0, name
 
 

@@ -57,6 +57,18 @@ class TestGen:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--coupling-target", "planted_coupling_target"),
+        ("--benign-coupling-target", "benign_coupling_target"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_coupling_target_exit_2(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "x"
+        assert run("gen", "--benign", "1", "--covert", "1", flag, value, "--out", str(out)) == 2
+        assert (f"homgraph: error: {field} must be finite and positive, got {float(value)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_out_is_input_error(self):
         assert run("gen", "--benign", "1") == 2
 
@@ -75,10 +87,14 @@ class TestUsageErrors:
         assert run("--help") == 0
         assert "COMMAND" in capsys.readouterr().out
 
-    def test_bad_flag_range_exit_2(self, tmp_path):
+    def test_bad_flag_range_exit_2(self, tmp_path, capsys):
         corpus = gen_corpus(tmp_path)
         graph = next(p for p in sorted(corpus.iterdir()) if p.name.startswith("benign"))
-        assert run("partition", str(graph), "--threshold", "-1") == 2
+        for bad in ("-1", "inf", "nan"):
+            capsys.readouterr()
+            assert run("partition", str(graph), "--threshold", bad) == 2
+            assert (f"--threshold must be finite and positive, got {float(bad)}"
+                    in capsys.readouterr().err)
         assert run("covertness", str(graph), "--hops", "-2") == 2
 
     def test_internal_error_exit_3(self, tmp_path, monkeypatch):
@@ -394,6 +410,15 @@ class TestEval:
         assert run("analyze", str(eval_corpus), "--out", str(analysis)) == 0
         assert run("eval", "--features", str(analysis / "features.csv"),
                    "--sweep", "1,3") == 2
+
+    def test_catalog_requires_paths(self, eval_corpus, tmp_path, capsys):
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(eval_corpus), "--out", str(analysis)) == 0
+        out = tmp_path / "eval.json"
+        assert run("eval", "--features", str(analysis / "features.csv"),
+                   "--catalog", str(tmp_path / "missing.txt"), "--out", str(out)) == 2
+        assert "--catalog needs graph paths" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -16,7 +16,13 @@ from homgraph.homophily import partition_suspicious
 from homgraph.model import load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
-from oracles import full_sweep_local_moving, undirected_edges, undirected_neighbors, weighted_q
+from oracles import (
+    full_sweep_local_moving,
+    level_totals,
+    undirected_edges,
+    undirected_neighbors,
+    weighted_q,
+)
 
 BARBELL_Q = 12 / 13 - 0.5  # m=13, two cliques: m_c=6, d_c=13 each
 
@@ -112,9 +118,7 @@ class TestMultilevel:
             for earlier, later in zip(part.q_trace, part.q_trace[1:]):
                 assert later >= earlier - 1e-9
             if undirected_edges(g):
-                assert part.modularity_q == pytest.approx(
-                    modularity(g, part), abs=1e-9
-                )
+                assert part.q_trace[-1] == part.modularity_q == modularity(g, part)
 
     def test_decreasing_local_move_is_internal_error(self, monkeypatch):
         # A path split into alternating communities has no internal edge, so
@@ -220,45 +224,56 @@ class TestLocalMovingSkip:
 
 
 class TestPassQ:
-    """A pass's Q, read off the aggregated level, equals an edge scan bit for bit."""
+    """Each pass's Q is ``modularity`` of the partition it induces, bit for bit."""
 
     def test_q_trace_equals_edge_scan_on_every_level(self, monkeypatch):
-        production = community._local_moving
-        expected: list[float] = []
+        nx = pytest.importorskip("networkx")
+        production = community._aggregate
+        memberships: list[list[int]] = []  # per pass: position -> level node
+        level_qs: list[float] = []
 
-        def recorded(adj, self_loop, total_w, rng):
-            comm = production(adj, self_loop, total_w, rng)
-            expected.append(weighted_q(adj, self_loop, comm, total_w))
-            return comm
+        def recorded(adj, self_loop, comm):
+            new_adj, new_loop, relabel = production(adj, self_loop, comm)
+            previous = memberships[-1] if memberships else range(len(comm))
+            memberships.append([relabel[comm[node]] for node in previous])
+            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
+            level_qs.append(weighted_q(adj, self_loop, comm, upper + sum(self_loop)))
+            return new_adj, new_loop, relabel
 
-        monkeypatch.setattr(community, "_local_moving", recorded)
+        monkeypatch.setattr(community, "_aggregate", recorded)
         rng = random.Random(37)
         multi_level = 0
         for _ in range(120):
             g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
-            expected.clear()
+            memberships.clear()
+            level_qs.clear()
             part = detect_multilevel(g, seed=rng.randrange(1000))
-            assert list(part.q_trace) == expected
-            multi_level += len(expected) > 1
+            assert len(part.q_trace) == len(memberships)
+            undirected = nx.Graph()
+            undirected.add_nodes_from(g.node_ids)
+            undirected.add_edges_from(undirected_edges(g))
+            for q, membership, level_q in zip(part.q_trace, memberships, level_qs):
+                induced = partition_of(g, dict(zip(g.adjacency.ids, membership)))
+                assert q == modularity(g, induced)
+                assert q == pytest.approx(level_q, abs=1e-12)
+                expected = nx.community.modularity(undirected, induced.communities())
+                assert q == pytest.approx(expected, abs=1e-12)
+            multi_level += len(memberships) > 1
         assert multi_level >= 100
 
-    def test_level_q_equals_edge_scan_on_random_weighted_levels(self):
+    def test_aggregate_keeps_internal_weight_and_degree(self):
         for case in range(240):
             rng = random.Random(case)
             adj, self_loop = random_weighted_level(rng)
-            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
-            total_w = upper + sum(self_loop)
-            if total_w == 0:
-                continue
             n = len(adj)
-            singletons = community._level_q(adj, self_loop, total_w, range(n))
-            assert singletons == weighted_q(adj, self_loop, list(range(n)), total_w)
             comm = [rng.randrange(max(1, n // 3)) for _ in range(n)]
             new_adj, new_loop, relabel = community._aggregate(adj, self_loop, comm)
-            order = [relabel[c] for c in dict.fromkeys(comm)]
-            assert community._level_q(new_adj, new_loop, total_w, order) == weighted_q(
-                adj, self_loop, comm, total_w
-            )
+            assert sorted(relabel.values()) == list(range(len(new_adj)))
+            intra, degree = level_totals(adj, self_loop, comm)
+            for c, k in relabel.items():
+                assert k not in new_adj[k]
+                assert new_loop[k] == intra[c]
+                assert sum(new_adj[k].values()) + 2.0 * new_loop[k] == degree[c]
 
 
 class TestNetworkxModularity:
