@@ -246,25 +246,25 @@ def _features_csv(analyses, catalog) -> str:
 
 def read_features_csv(path: str | Path) -> list[LabeledSample]:
     path = Path(path)
+    samples = []
     try:
-        fh = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[:2] != ["app_id", "label"]:
+                raise InputError(f"{path}: not a feature file (bad header)")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{line_no}: expected {len(header)} columns")
+                app_id, label, *values = row
+                if not label:
+                    logger.warning("%s:%d: unlabeled sample %r excluded", path, line_no, app_id)
+                    continue
+                vector = np.array([_finite(v, path, line_no, c)
+                                   for v, c in zip(values, header[2:])])
+                samples.append(LabeledSample(app_id, label, vector))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read features file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["app_id", "label"]:
-            raise InputError(f"{path}: not a feature file (bad header)")
-        samples = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InputError(f"{path}:{line_no}: expected {len(header)} columns")
-            app_id, label, *values = row
-            if not label:
-                logger.warning("%s:%d: unlabeled sample %r excluded", path, line_no, app_id)
-                continue
-            vector = np.array([_finite(v, path, line_no, c) for v, c in zip(values, header[2:])])
-            samples.append(LabeledSample(app_id, label, vector))
     return samples
 
 

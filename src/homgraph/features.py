@@ -21,12 +21,15 @@ calculating the triad census"): each node's out-only, in-only and mutual
 neighbour counts give every wedge type, and degree sums give the one-edge
 types. Only triangles are listed (Chiba & Nishizeki 1985); each one is
 classified and corrects the wedge and one-edge counts it was included in.
-Edgeless triples are the remainder. The per-API counts walk only the
-connected triples of the nodes that match the catalog.
+Edgeless triples are the remainder. The per-API counts use the same wedge
+formulas and triangle correction: the wedges of the matching nodes, plus the
+wedges each neighbour loses without its arms into them, then the triangles
+through any matching node.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,7 @@ _TRICODES = (
 _CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
 
 SELECTED_TRIADS = ("021D", "021U", "021C", "111U", "030T", "120U")
+_WEDGE_TYPES = ("021D", "021U", "021C", "111D", "111U", "201")
 _SELECTED_INDEX = {name: i for i, name in enumerate(SELECTED_TRIADS)}
 
 
@@ -73,14 +77,6 @@ class TriadCensus:
     matched_entries: tuple[int, ...]
 
 
-def _catalog_hits(graph: CallGraph, catalog: SensitiveApiCatalog) -> dict[int, tuple[int, ...]]:
-    """Catalog entries matched by each node of ``graph`` that matches any,
-    keyed by the node's adjacency position."""
-    position = graph.adjacency.position
-    hits = {position[n.id]: matching_entries(n.name, catalog) for n in graph.nodes}
-    return {i: found for i, found in hits.items() if found}
-
-
 def triad_census(
     subgraph: CallGraph, catalog: SensitiveApiCatalog | None = None
 ) -> TriadCensus:
@@ -91,87 +87,103 @@ def triad_census(
     follow from degrees (Moody 1998) once the triangles are known, and only
     the triangles are listed.
     """
-    api_matches = _catalog_hits(subgraph, catalog) if catalog is not None else {}
     adjacency = subgraph.adjacency
     n = len(adjacency.ids)
+    hits: list[tuple[int, ...]] = [()] * n  # entries matched at each position
+    members: dict[int, set[int]] = {}  # positions matching each entry
+    for node in subgraph.nodes if catalog is not None else ():
+        x = adjacency.position[node.id]
+        hits[x] = matching_entries(node.name, catalog)
+        for api in hits[x]:
+            members.setdefault(api, set()).add(x)
     codes = iter(adjacency.dyads.tolist())  # each zip below takes one row's codes
     links = [dict(zip(nbrs, codes)) for nbrs in adjacency.neighbours()]
 
-    # Wedges, open or closed, by the dyads of their two arms: a node with a
-    # out-only, b in-only and m mutual neighbours centres a*b 021C wedges,
-    # m*b 111D wedges, and so on. An edge (u, v) leaves n - d_u - d_v third
-    # nodes adjacent to neither end, plus one per triangle on it. No sum
-    # exceeds n * 2E, so int64 is exact.
+    # A node's out-only, in-only and mutual neighbour counts give its wedges.
+    # An edge (u, v) leaves n - d_u - d_v third nodes adjacent to neither
+    # end, plus one per triangle on it. No sum exceeds n * 2E, so int64 is
+    # exact.
     a, b, m = (np.bincount(adjacency.rows[adjacency.dyads == code], minlength=n)
                for code in (1, 2, 3))
     d = a + b + m
     totals = dict.fromkeys(TRIAD_NAMES, 0)
-    for name, count in (
-        ("021D", a @ (a - 1) // 2), ("021U", b @ (b - 1) // 2), ("021C", a @ b),
-        ("111D", m @ b), ("111U", m @ a), ("201", m @ (m - 1) // 2),
-        ("012", n * (d - m).sum() // 2 - d @ (d - m)), ("102", n * m.sum() // 2 - d @ m),
-    ):
-        totals[name] = int(count)
+    totals.update((name, int(count.sum())) for name, count in zip(_WEDGE_TYPES, _wedges(a, b, m)))
+    totals["012"] = int(n * (d - m).sum() // 2 - d @ (d - m))
+    totals["102"] = int(n * m.sum() // 2 - d @ m)
 
-    # Each triangle once, from its two smallest positions. An intersection
-    # walks the smaller side, so listing costs O(arboricity * edges)
-    # (Chiba & Nishizeki 1985).
-    closed = [0] * 64
+    # Each triangle once, from its two smallest positions, and once more for
+    # every entry that one of its nodes matches. An intersection walks the
+    # smaller side, so listing costs O(arboricity * edges) (Chiba &
+    # Nishizeki 1985).
+    closed: Counter[int] = Counter()  # triangles by code
+    entry_closed: defaultdict[int, Counter[int]] = defaultdict(Counter)
     for u, nu in enumerate(links):
         for v in nu:
             if v > u:
                 for w in nu.keys() & links[v].keys():
                     if w > v:
-                        closed[_tricode(links, u, v, w)] += 1
-    for code, count in enumerate(closed):
-        if count:
-            totals[_CODE_TO_NAME[code]] += count
-            # Dropping one dyad's two bits leaves the wedge at the opposite
-            # corner; that dyad's edge also gains the triangle's third node.
-            for dyad in (3, 12, 48):
-                totals[_CODE_TO_NAME[code & ~dyad]] -= count
-                totals["102" if code & dyad == dyad else "012"] += count
+                        code = _tricode(links, u, v, w)
+                        closed[code] += 1
+                        if hits[u] or hits[v] or hits[w]:
+                            for api in {*hits[u], *hits[v], *hits[w]}:
+                                entry_closed[api][code] += 1
+    _close(totals, closed)
+    for code, count in closed.items():
+        for dyad in (3, 12, 48):  # each edge of a triangle gains its third node
+            totals["102" if code & dyad == dyad else "012"] += count
 
+    sensitive: dict[tuple[int, str], int] = {}
+    degrees = a.tolist(), b.tolist(), m.tolist()
+    for api, nodes in members.items():
+        counts = _entry_wedges(links, degrees, nodes)
+        _close(counts, entry_closed.get(api, {}))
+        sensitive.update(((api, t), counts[t]) for t in SELECTED_TRIADS if counts[t])
     return TriadCensus(
         total_counts=totals,
-        sensitive_counts=_sensitive_counts(links, api_matches),
+        sensitive_counts=sensitive,
         edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
         node_count=n,
-        matched_entries=tuple(sorted({i for found in api_matches.values() for i in found})),
+        matched_entries=tuple(sorted(members)),
     )
 
 
-def _sensitive_counts(
-    links: list[dict[int, int]], api_matches: dict[int, tuple[int, ...]]
-) -> dict[tuple[int, str], int]:
-    """Selected triads per catalog entry, from the connected triples of the
-    matching nodes only; ``api_matches`` is keyed by position.
+def _wedges(a, b, m) -> tuple:
+    """Wedges, open or closed, centred at a node with ``a`` out-only, ``b``
+    in-only and ``m`` mutual neighbours, by open type in ``_WEDGE_TYPES``
+    order; on ints or elementwise on arrays."""
+    return a * (a - 1) // 2, b * (b - 1) // 2, a * b, m * b, m * a, m * (m - 1) // 2
 
-    A triple holding several nodes that match one entry counts for it once,
-    at the first of them walked (ascending position); the first node walked
-    for an entry has nothing to test.
-    """
-    sensitive: dict[tuple[int, str], int] = {}
-    walked: dict[int, set[int]] = {}  # entry -> its matching nodes walked so far
-    for x in sorted(api_matches):
-        apis = api_matches[x]
-        arms = list(links[x])
-        beyond = {*arms, x}
-        for i, y in enumerate(arms):
-            # x centres (x, y, z) for each later arm z, and ends it for each
-            # z adjacent to y but not to x.
-            for z in [*arms[i + 1:], *(links[y].keys() - beyond)]:
-                name = _CODE_TO_NAME[_tricode(links, x, y, z)]
-                if name in _SELECTED_INDEX:
-                    for api in apis:
-                        earlier = walked.get(api)
-                        if earlier and (y in earlier or z in earlier):
-                            continue
-                        key = (api, name)
-                        sensitive[key] = sensitive.get(key, 0) + 1
-        for api in apis:
-            walked.setdefault(api, set()).add(x)
-    return sensitive
+
+def _close(counts: dict[str, int], closed: dict[int, int]) -> None:
+    """Count each triangle, given by code, as its closed type instead of the
+    three wedges at its corners: dropping one dyad's two bits leaves the
+    wedge at the opposite corner."""
+    for code, count in closed.items():
+        counts[_CODE_TO_NAME[code]] += count
+        for dyad in (3, 12, 48):
+            counts[_CODE_TO_NAME[code & ~dyad]] -= count
+
+
+def _entry_wedges(links: list[dict[int, int]], degrees: tuple, nodes: set[int]) -> dict[str, int]:
+    """Triad counts with every wedge holding one of ``nodes``, in O(sum of
+    their degrees): all wedges centred on them, and at each other neighbour
+    y those that lose an arm when y's arms into ``nodes`` go."""
+    a, b, m = degrees
+    gained = [_wedges(a[x], b[x], m[x]) for x in nodes]
+    lost = []
+    arms: dict[int, list[int]] = {}  # y -> its arms by dyad code from the far end
+    for x in nodes:
+        for y, code in links[x].items():
+            if y not in nodes:
+                arms.setdefault(y, [0, 0, 0, 0])[code] += 1
+    for y, (_, ins, outs, mutual) in arms.items():  # x -> y is in-only at y
+        gained.append(_wedges(a[y], b[y], m[y]))
+        lost.append(_wedges(a[y] - outs, b[y] - ins, m[y] - mutual))
+    counts = dict.fromkeys(TRIAD_NAMES, 0)
+    for rows, sign in ((gained, 1), (lost, -1)):
+        for name, column in zip(_WEDGE_TYPES, zip(*rows)):
+            counts[name] += sign * sum(column)
+    return counts
 
 
 def _tricode(links: list[dict[int, int]], v: int, u: int, w: int) -> int:

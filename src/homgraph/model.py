@@ -221,7 +221,7 @@ def load_catalog(path: str | Path | None = None) -> SensitiveApiCatalog:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     return parse_catalog(text, source=str(path))
 
@@ -264,11 +264,9 @@ def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
 def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:
     """Parse one wire-format document into its normalized graph, keeping the
     document's sensitivity flags."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise GraphFormatError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError(f"{source}: document root must be an object")
@@ -349,7 +347,7 @@ def load_graph(path: str | Path, catalog: SensitiveApiCatalog | None = None) -> 
     path = Path(path)
     try:
         data = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read graph {path}: {exc}") from exc
     graph = parse_graph(data, source=str(path))
     return graph if catalog is None else apply_catalog(graph, catalog)

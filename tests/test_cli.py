@@ -641,6 +641,59 @@ class TestFeatureFileValidation:
         assert f"{bad}:4: column presence[1]" in capsys.readouterr().err
 
 
+class TestUndecodableInput:
+    """Bad UTF-8, JSON nested past the recursion limit and CSV fields past the
+    csv module's limit are input errors (exit 2, naming the file), not
+    internal errors."""
+
+    BAD_UTF8 = '{"app_id": "a\xff", "nodes": [{"id": 0, "name": "f"}]}'.encode("latin-1")
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("content", [BAD_UTF8, DEEP.encode()], ids=["utf8", "deep"])
+    def test_graph_file_exit_2(self, tmp_path, content, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(content)
+        assert run("partition", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "homgraph: error: " in err and str(path) in err
+        assert "Traceback" not in err
+
+    def test_catalog_file_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(serialize_graph(make_graph(3, [(0, 1)])))
+        catalog = tmp_path / "cat.txt"
+        catalog.write_bytes(b"api.one\n\xfe\xfeapi.two\n")
+        assert run("partition", str(graph), "--catalog", str(catalog)) == 2
+        assert f"cannot read catalog {catalog}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_features_file_exit_2(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(analysis)) == 0
+        bad = tmp_path / "bad.csv"
+        text = (analysis / "features.csv").read_bytes()
+        bad.write_bytes(text.replace(b"malware", b"mal\xffware", 1))
+        capsys.readouterr()
+        assert run("eval", "--features", str(bad), "--folds", "2") == 2
+        assert f"cannot read features file {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_oversized_csv_field_exit_2(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("app_id,label,presence[0]\na,benign," + "1" * 200_000 + "\n")
+        assert run("eval", "--features", str(big)) == 2
+        assert f"cannot read features file {big}: field larger" in capsys.readouterr().err
+
+    def test_analyze_directory_skips_them(self, tmp_path, caplog):
+        corpus = gen_corpus(tmp_path)
+        (corpus / "bad_utf8.json").write_bytes(self.BAD_UTF8)
+        (corpus / "deep.json").write_text(self.DEEP)
+        out = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(out)) == 0
+        assert len(read_features_csv(out / "features.csv")) == 6
+        assert f"skipping {corpus / 'bad_utf8.json'}: cannot read graph" in caplog.text
+        assert f"skipping {corpus / 'deep.json'}: {corpus / 'deep.json'}: not valid" in caplog.text
+
+
 class TestUnwritableOut:
     def test_partition_out_is_directory(self, tmp_path, capsys):
         corpus = gen_corpus(tmp_path)

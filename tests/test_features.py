@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from homgraph import features
 from homgraph.features import (
     SELECTED_TRIADS,
     TRIAD_NAMES,
@@ -130,6 +131,56 @@ class TestCensus:
             covered["mutual"] += census.total_counts["102"] > 0
             covered["isolated"] += any(not nbrs for nbrs in neighbors.values())
         assert min(covered.values()) >= 20, covered
+
+    def test_matches_walk_oracle_on_hub_graphs(self):
+        # Graphs of 40 to 293 nodes in which node 0 is a hub called by most
+        # other nodes, about one in ten mutually. The hub matches the nested
+        # entries "api5" and "api56"; two or three of its callers match
+        # "api6", so they lie within two hops of each other, and a few more
+        # nodes match entries at random, some of them next to the hub.
+        catalog = SensitiveApiCatalog(entries=("api5", "api6", "api56"))
+        rng = random.Random(19)
+        big_hubs = 0
+        for i in range(24):
+            n = 40 + 11 * i
+            callers = rng.sample(range(1, n), n - 1 - rng.randint(0, n // 10))
+            edges = [(c, 0) for c in callers] + [(0, c) for c in callers if rng.random() < 0.1]
+            edges += dyad_edges(rng, n, 2.5 / n, 0.3)
+            names = {j: rng.choice(("fn", "fn", "fn", "wrapped.api5.call", "x.api56.y")) + str(j)
+                     for j in range(n)}
+            names[0] = "x.api56.y"
+            for c in rng.sample(callers, rng.randint(2, 3)):
+                names[c] = f"api6({c})"
+            g = make_graph(n, edges, names=names)
+
+            census = triad_census(g, catalog)
+            totals, edgeless, sensitive = walk_census(g, catalog)
+            assert census.total_counts == totals
+            assert census.edgeless_triples == edgeless
+            assert census.sensitive_counts == sensitive
+            big_hubs += len(callers) >= 200
+        assert big_hubs >= 5
+
+    def test_hub_classifies_only_triangles(self, monkeypatch):
+        # A sensitive hub with 3,000 one-call wrapper callers; each wrapper
+        # is called by one of 40 callers, and every other caller also calls
+        # the hub, closing 1,500 triangles. Only those are classified.
+        wrappers, callers = range(1, 3001), range(3001, 3041)
+        edges = [(w, 0) for w in wrappers] + [(callers[w % 40], w) for w in wrappers]
+        edges += [(c, 0) for c in callers[::2]]
+        names = {j: "api5()" if j == 0 else f"fn{j}" for j in range(3041)}
+        g = make_graph(3041, edges, names=names)
+        calls = []
+        real = features._tricode
+        monkeypatch.setattr(features, "_tricode", lambda *args: calls.append(1) or real(*args))
+
+        census = triad_census(g, SensitiveApiCatalog(entries=("api5",)))
+        assert len(calls) == census.total_counts["030T"] == 1500
+        # Each triangle closes one of the hub's in-wedges and one wrapper's chain.
+        in_wedges = 3020 * 3019 // 2 - 1500
+        assert census.sensitive_counts == {
+            (0, "021U"): in_wedges, (0, "021C"): 1500, (0, "030T"): 1500}
+        assert census.total_counts["021U"] == in_wedges
 
     def test_relabel_invariance(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 1)]

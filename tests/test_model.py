@@ -53,6 +53,12 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="not valid JSON"):
             parse_graph(b"{nope")
 
+    def test_bad_utf8_and_deep_nesting_are_format_errors(self):
+        with pytest.raises(GraphFormatError, match="^src.json: not valid JSON: 'utf-8' codec"):
+            parse_graph(b'{"app_id": "\xff"}', source="src.json")
+        with pytest.raises(GraphFormatError, match="^src.json: not valid JSON: "):
+            parse_graph("[" * 100_000 + "]" * 100_000, source="src.json")
+
     def test_root_must_be_object(self):
         with pytest.raises(GraphFormatError, match="root"):
             parse_graph("[1, 2]")
