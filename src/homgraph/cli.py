@@ -162,7 +162,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     catalog = load_catalog(args.catalog)
-    corpus = generate.generate_corpus(spec, args.benign, args.covert, catalog)
+    corpus = generate.iter_corpus(spec, args.benign, args.covert, catalog)
     out_dir = Path(args.out)
     manifest = {"spec": asdict(spec), "catalog": catalog.source, "graphs": []}
     for graph, truth in corpus:
@@ -178,8 +178,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 "planted_coupling": truth.planted_coupling,
             }
         )
+        del graph  # not kept alive while the next one is generated
     _write_text(out_dir / "manifest.json", _json_text(manifest))
-    print(f"wrote {len(corpus)} graphs + manifest to {out_dir}", file=sys.stderr)
+    print(f"wrote {len(manifest['graphs'])} graphs + manifest to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -7,6 +7,10 @@ the requested coupling target, so covert graphs land in the low-coupling
 band (default target 2, inside (1, 3]) and benign graphs land clearly above
 the detection threshold (default target 4). Everything is a pure function
 of the spec seed; per-graph seeds derive from it by hashing.
+
+``iter_corpus`` checks the spec for every requested label, then generates
+one graph at a time: ``gen`` holds one graph in memory, and writes nothing
+for a spec that either label cannot meet.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -102,6 +107,30 @@ def _validate_spec(spec: SyntheticSpec, catalog: SensitiveApiCatalog) -> None:
             raise InfeasibleSpecError(f"{name} must be finite and positive, got {target}")
 
 
+def iter_corpus(
+    spec: SyntheticSpec,
+    benign_count: int,
+    covert_count: int,
+    catalog: SensitiveApiCatalog | None = None,
+) -> Iterator[tuple[CallGraph, PlantedTruth]]:
+    """Validate now, then yield ``benign_count`` benign and ``covert_count``
+    covert graphs, each generated only when it is asked for."""
+    if benign_count < 0 or covert_count < 0:
+        raise InfeasibleSpecError("graph counts must be non-negative")
+    if catalog is None:
+        catalog = load_catalog()
+    _validate_spec(spec, catalog)
+    counts = ((BENIGN, benign_count), (MALWARE, covert_count))
+    for label, count in counts:
+        if count:
+            _cross_edges(spec, label)
+    return (
+        generate_graph(spec, catalog, label, i)
+        for label, count in counts
+        for i in range(count)
+    )
+
+
 def generate_corpus(
     spec: SyntheticSpec,
     benign_count: int,
@@ -109,17 +138,7 @@ def generate_corpus(
     catalog: SensitiveApiCatalog | None = None,
 ) -> list[tuple[CallGraph, PlantedTruth]]:
     """Generate ``benign_count`` benign and ``covert_count`` covert graphs."""
-    if benign_count < 0 or covert_count < 0:
-        raise InfeasibleSpecError("graph counts must be non-negative")
-    if catalog is None:
-        catalog = load_catalog()
-    _validate_spec(spec, catalog)
-    corpus: list[tuple[CallGraph, PlantedTruth]] = []
-    for i in range(benign_count):
-        corpus.append(_generate_graph(spec, catalog, BENIGN, i))
-    for i in range(covert_count):
-        corpus.append(_generate_graph(spec, catalog, MALWARE, i))
-    return corpus
+    return list(iter_corpus(spec, benign_count, covert_count, catalog))
 
 
 def _block_sizes(total: int, blocks: int) -> list[int]:
@@ -156,10 +175,18 @@ def _sample_block_pairs(
     return pairs
 
 
-def _solve_cross_edges(
-    n_a: int, n_b: int, e_a: int, e_b: int, target: float
-) -> int:
-    """Cross-edge count whose measured coupling is nearest the target."""
+def _cross_edges(spec: SyntheticSpec, label: str) -> tuple[int, float]:
+    """Cross-edge count whose measured coupling is nearest ``label``'s
+    target, and that coupling. The benign blocks are disjoint and each draws
+    exactly ``round(p * available)`` pairs, so both follow from the spec
+    alone, and a spec is checked without generating a graph."""
+    n_a = spec.planted_sensitive_community_size
+    n_b = spec.node_count - n_a
+    sizes = _block_sizes(n_b, spec.community_count)
+    e_a = n_a * (n_a - 1) // 2
+    e_b = sum(round(spec.intra_edge_prob * (n * (n - 1) // 2)) for n in sizes)
+    e_b += sum(round(spec.inter_edge_prob * a * b) for a, b in combinations(sizes, 2))
+    target = spec.planted_coupling_target if label == MALWARE else spec.benign_coupling_target
     chance = 2.0 * (n_a / (n_a + n_b)) * (n_b / (n_a + n_b))
     r = target * chance
     if r >= 1.0:
@@ -168,23 +195,28 @@ def _solve_cross_edges(
             f"fraction {r:.3f} >= 1"
         )
     estimate = max(1, round(r * (e_a + e_b) / (1.0 - r)))
+    measured = {s: coupling_from_counts(n_a, n_b, e_a, e_b, s).c
+                for s in (estimate - 1, estimate, estimate + 1) if s >= 1}
+    cross_count = min(measured, key=lambda s: abs(measured[s] - target))
+    if cross_count > n_b:
+        raise InfeasibleSpecError(
+            f"coupling target {target} needs {cross_count} cross edges but only "
+            f"{n_b} distinct benign endpoints exist"
+        )
+    return cross_count, measured[cross_count]
 
-    def measured(s: int) -> float:
-        return coupling_from_counts(n_a, n_b, e_a, e_b, s).c
 
-    candidates = [s for s in (estimate - 1, estimate, estimate + 1) if s >= 1]
-    return min(candidates, key=lambda s: abs(measured(s) - target))
-
-
-def _generate_graph(
+def generate_graph(
     spec: SyntheticSpec,
     catalog: SensitiveApiCatalog,
     label: str,
     index: int,
 ) -> tuple[CallGraph, PlantedTruth]:
+    """Graph ``index`` of ``label``, from its own seed-derived random stream."""
     rng = random.Random(_derive_seed(spec.seed, label, index))
     planted_size = spec.planted_sensitive_community_size
     rest_n = spec.node_count - planted_size
+    cross_count, measured = _cross_edges(spec, label)
 
     blocks: list[list[int]] = []
     cursor = 0
@@ -202,17 +234,10 @@ def _generate_graph(
         for bj in range(bi + 1, len(blocks)):
             want = round(spec.inter_edge_prob * len(blocks[bi]) * len(blocks[bj]))
             pairs.update(_sample_block_pairs(rng, blocks[bi], blocks[bj], want))
-    # Blocks are disjoint, so no pair was drawn twice.
-    rest_edges = len(pairs)
 
     # Planted community is a clique: dense enough to survive detection.
     pairs.update(combinations(planted, 2))
-    planted_edges = planted_size * (planted_size - 1) // 2
 
-    target = (
-        spec.planted_coupling_target if label == MALWARE else spec.benign_coupling_target
-    )
-    cross_count = _solve_cross_edges(planted_size, rest_n, planted_edges, rest_edges, target)
     # Cross edges attach only to the non-API "gateway" members of the
     # planted community, spread evenly over gateways and benign blocks.
     # API nodes keep pure intra-community wiring (they are callees of the
@@ -224,11 +249,6 @@ def _generate_graph(
     # wiring and act as a coalescence anchor for community detection.
     gateways = workers[: max(1, len(workers) // 2)]
 
-    if cross_count > rest_n:
-        raise InfeasibleSpecError(
-            f"coupling target {target} needs {cross_count} cross edges but only "
-            f"{rest_n} distinct benign endpoints exist"
-        )
     # Benign graphs route a few cross edges straight into each API as direct
     # benign callers; everything else lands on gateways. Each benign node
     # carries at most one cross edge and every block gets an equal share;
@@ -246,12 +266,8 @@ def _generate_graph(
     api_list = sorted(api_nodes)
     slot = 0
     caller_seen = 0
+    # cross_count <= rest_n, so no block's quota exceeds its size.
     for block, quota in zip(blocks, per_block):
-        if quota > len(block):
-            raise InfeasibleSpecError(
-                f"coupling target {target} needs {quota} endpoints in a "
-                f"{len(block)}-node community"
-            )
         for v in rng.sample(block, quota):
             if slot in caller_slots:
                 u = api_list[caller_seen % len(api_list)]
@@ -261,10 +277,6 @@ def _generate_graph(
                 u = gateways[slot % len(gateways)]
             pairs.add((v, u))
             slot += 1
-
-    measured = coupling_from_counts(
-        planted_size, rest_n, planted_edges, rest_edges, cross_count
-    ).c
 
     nodes: list[FunctionNode] = []
     for block_idx, block in enumerate(blocks):

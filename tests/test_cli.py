@@ -4,6 +4,7 @@ import multiprocessing
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import homgraph
-from homgraph import community, homophily, pipeline
+from homgraph import cli, community, generate, homophily, pipeline
 from homgraph.cli import build_parser, main, read_features_csv
 from homgraph.model import InputError, load_catalog, serialize_graph
 
@@ -68,6 +69,26 @@ class TestGen:
         assert (f"homgraph: error: {field} must be finite and positive, got {float(value)}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--coupling-target", "--benign-coupling-target"])
+    def test_one_infeasible_label_writes_nothing(self, tmp_path, capsys, flag):
+        # Benign graphs come first, so a covert target that cannot be met
+        # must be caught before any benign graph is written.
+        out = tmp_path / "x"
+        assert run("gen", "--benign", "3", "--covert", "3", flag, "30", "--out", str(out)) == 2
+        assert ("homgraph: error: coupling target 30.0 needs 20360 cross edges but "
+                "only 800 distinct benign endpoints exist") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, label", [
+        ("--coupling-target", "--covert"),
+        ("--benign-coupling-target", "--benign"),
+    ])
+    def test_infeasible_target_of_absent_label_ignored(self, tmp_path, flag, label):
+        out = tmp_path / "x"
+        assert run("gen", "--benign", "1", "--covert", "1", label, "0", flag, "30",
+                   "--out", str(out)) == 0
+        assert len(json.loads((out / "manifest.json").read_text())["graphs"]) == 1
 
     def test_missing_out_is_input_error(self):
         assert run("gen", "--benign", "1") == 2
@@ -465,6 +486,44 @@ def track_loads(monkeypatch):
 
     monkeypatch.setattr(pipeline, "load_graph", load_graph)
     return alive
+
+
+class TestGenStreaming:
+    def test_writes_each_graph_before_generating_the_next(self, tmp_path, monkeypatch):
+        refs, alive, generated_at_write = [], [], []
+        real_generate, real_write = generate.generate_graph, cli._write_text
+
+        def generate_graph(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            graph, truth = real_generate(*args)
+            refs.append(weakref.ref(graph))
+            return graph, truth
+
+        def write_text(path, text):
+            generated_at_write.append(len(refs))
+            real_write(path, text)
+
+        monkeypatch.setattr(generate, "generate_graph", generate_graph)
+        monkeypatch.setattr(cli, "_write_text", write_text)
+        gen_corpus(tmp_path)
+        # One write per graph, each right after its graph, then the manifest.
+        assert generated_at_write == [1, 2, 3, 4, 5, 6, 6]
+        assert alive == [0] * 6
+
+    def test_peak_memory_flat_in_corpus_size(self, tmp_path):
+        small = ["--nodes", "400", "--communities", "16", "--intra-p", "0.15"]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert run("gen", "--benign", count, "--covert", count, *small,
+                           "--out", str(tmp_path / count)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak("1")
+        assert peak("20") < 1.5 * one
 
 
 class TestStreaming:

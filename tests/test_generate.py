@@ -1,8 +1,22 @@
+from collections import Counter
+
 import pytest
 
 from homgraph.community import detect_multilevel
-from homgraph.generate import InfeasibleSpecError, SyntheticSpec, generate_corpus
-from homgraph.homophily import FILTERED_BENIGN, SUSPICIOUS, coupling, partition_suspicious
+from homgraph.generate import (
+    InfeasibleSpecError,
+    SyntheticSpec,
+    _cross_edges,
+    generate_corpus,
+    iter_corpus,
+)
+from homgraph.homophily import (
+    FILTERED_BENIGN,
+    SUSPICIOUS,
+    coupling,
+    coupling_from_counts,
+    partition_suspicious,
+)
 from homgraph.model import BENIGN, MALWARE, load_catalog, matching_entries, serialize_graph
 
 
@@ -39,6 +53,27 @@ class TestGenerateCorpus:
         a = generate_corpus(SyntheticSpec(seed=1), 1, 1, catalog)
         b = generate_corpus(SyntheticSpec(seed=2), 1, 1, catalog)
         assert serialize_graph(a[0][0]) != serialize_graph(b[0][0])
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(),
+        # p > 0.5 takes the enumerate-and-sample branch for every block
+        SyntheticSpec(node_count=120, community_count=12, intra_edge_prob=0.6,
+                      inter_edge_prob=0.02, planted_coupling_target=0.8,
+                      benign_coupling_target=1.0, seed=4),
+    ], ids=["default", "dense"])
+    def test_cross_edges_follow_from_spec(self, catalog, spec):
+        for graph, truth in generate_corpus(spec, 2, 2, catalog):
+            planted = truth.planted_nodes
+            ends = Counter((u in planted) + (v in planted) for u, v in graph.edges)
+            counted = coupling_from_counts(len(planted), graph.node_count - len(planted),
+                                           ends[2], ends[0], ends[1]).c
+            assert _cross_edges(spec, truth.label) == (ends[1], counted)
+            assert truth.planted_coupling == counted
+
+    def test_iter_corpus_checks_every_label_before_yielding(self, catalog):
+        with pytest.raises(InfeasibleSpecError, match="20360 cross edges"):
+            iter_corpus(SyntheticSpec(planted_coupling_target=30), 1, 1, catalog)
+        assert list(iter_corpus(SyntheticSpec(planted_coupling_target=30), 1, 0, catalog))
 
     def test_labels_and_ids(self, small_corpus):
         for graph, truth in small_corpus:
