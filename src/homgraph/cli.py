@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,10 +68,13 @@ def _check_threshold(name: str, value: float) -> float:
     return value
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` to ``path``, or each string of an iterable as it comes;
+    a failure to create, open or write the file is an ``InputError``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -230,19 +234,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
-    _write_text(out_dir / "features.csv", _features_csv(analyses, catalog))
+    _write_text(out_dir / "features.csv", _feature_lines(analyses, catalog))
     _write_text(out_dir / "partitions.json", _json_text([a.report for a in analyses]))
     print(f"analyzed {len(analyses)} graphs into {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 
-def _features_csv(analyses, catalog) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["app_id", "label", *feature_names(catalog)])
+def _feature_lines(analyses, catalog) -> Iterator[str]:
+    """The feature file's lines, each formatted by ``csv`` as it is needed."""
+    writer = csv.writer(SimpleNamespace(write=str))  # writerow returns the line
+    yield writer.writerow(["app_id", "label", *feature_names(catalog)])
     for a in analyses:
-        writer.writerow([a.app_id, a.label or "", *(repr(float(x)) for x in a.vectors[0])])
-    return buffer.getvalue()
+        yield writer.writerow([a.app_id, a.label or "", *(repr(float(x)) for x in a.vectors[0])])
 
 
 def read_features_csv(path: str | Path) -> list[LabeledSample]:

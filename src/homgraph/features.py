@@ -89,12 +89,11 @@ def triad_census(
     """
     adjacency = subgraph.adjacency
     n = len(adjacency.ids)
-    hits: list[tuple[int, ...]] = [()] * n  # entries matched at each position
+    hits = ([matching_entries(name, catalog) for name in subgraph.names]  # per position
+            if catalog is not None else [()] * n)
     members: dict[int, set[int]] = {}  # positions matching each entry
-    for node in subgraph.nodes if catalog is not None else ():
-        x = adjacency.position[node.id]
-        hits[x] = matching_entries(node.name, catalog)
-        for api in hits[x]:
+    for x, entries in enumerate(hits):
+        for api in entries:
             members.setdefault(api, set()).add(x)
     codes = iter(adjacency.dyads.tolist())  # each zip below takes one row's codes
     links = [dict(zip(nbrs, codes)) for nbrs in adjacency.neighbours()]

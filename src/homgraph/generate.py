@@ -27,7 +27,6 @@ from .model import (
     BENIGN,
     MALWARE,
     CallGraph,
-    FunctionNode,
     InputError,
     SensitiveApiCatalog,
     load_catalog,
@@ -278,40 +277,22 @@ def generate_graph(
             pairs.add((v, u))
             slot += 1
 
-    nodes: list[FunctionNode] = []
-    for block_idx, block in enumerate(blocks):
-        for pos, nid in enumerate(block):
-            name = f"com.synth.app{block_idx}.Module{pos // 10}.fn{nid}"
-            nodes.append(FunctionNode(id=nid, name=name, sensitive=False))
-    for pos, nid in enumerate(planted):
-        if nid in api_nodes:
-            name = f"{catalog.entries[api_nodes[nid]]}()"
-            nodes.append(FunctionNode(id=nid, name=name, sensitive=True))
-        else:
-            name = f"com.synth.payload.Worker{pos}.run"
-            nodes.append(FunctionNode(id=nid, name=name, sensitive=False))
+    # Node ids are positions: benign blocks first, then the planted clique.
+    names = [f"com.synth.app{b}.Module{pos // 10}.fn{nid}"
+             for b, block in enumerate(blocks) for pos, nid in enumerate(block)]
+    names += [f"{catalog.entries[api_nodes[nid]]}()" if nid in api_nodes
+              else f"com.synth.payload.Worker{pos}.run" for pos, nid in enumerate(planted)]
+    flags = [nid in api_nodes for nid in range(spec.node_count)]
+    for name, flag in zip(names, flags):
+        if flag != (catalog.pattern.search(name) is not None):
+            raise InfeasibleSpecError(f"catalog entry collides with generated name {name!r}")
 
-    for node in nodes:
-        if node.sensitive != (catalog.pattern.search(node.name) is not None):
-            raise InfeasibleSpecError(
-                f"catalog entry collides with generated name {node.name!r}"
-            )
-
-    edges = []
-    for u, v in sorted(pairs):
-        if (u, v) in forced:
-            edges.append((u, v))
-        elif rng.random() < 0.5:
-            edges.append((u, v))
-        else:
-            edges.append((v, u))
+    # One arc per pair, in a random direction unless it is a forced caller arc.
+    edges = [(u, v) if (u, v) in forced or rng.random() < 0.5 else (v, u)
+             for u, v in sorted(pairs)]
 
     app_id = f"{label}-{index:04d}"
-    # Nodes are already in id order, and each pair gives one arc between
-    # two distinct nodes, so sorting the arcs is all normalization is left.
-    graph = CallGraph(
-        app_id=app_id, nodes=tuple(nodes), edges=tuple(sorted(edges)), ground_truth=label
-    )
+    graph = CallGraph.from_edges(app_id, range(spec.node_count), names, flags, edges, label)
     truth = PlantedTruth(
         app_id=app_id,
         label=label,

@@ -232,8 +232,7 @@ def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:
     if hops < 0:
         raise ValueError("hops must be non-negative")
     adjacency = graph.adjacency
-    part = np.zeros(len(adjacency.ids), bool)
-    part[[adjacency.position[v] for v in graph.sensitive_ids]] = True
+    part = graph.sensitive
     called = (adjacency.dyads & 2) != 0  # entry (i, j) has the code-2 bit: j calls i
     for _ in range(hops):
         grown = part.copy()

@@ -2,13 +2,15 @@
 
 A call graph is a directed graph whose nodes are functions (platform API
 calls or user-defined methods) and whose edges are caller -> callee
-relations. Graphs are normalized before analysis: self-loops dropped,
+relations. Graphs are normalized when they are made: self-loops dropped,
 duplicate directed edges collapsed, nodes ordered by ascending id.
 
-Every analysis stage reads a graph through one index, ``CallGraph.adjacency``:
-a CSR of the simple undirected projection over dense node positions, with
-each pair's direction as a dyad code. Communities and coupling read the
-projection; malicious callers and the triad census read the codes.
+A graph is stored as arrays over node positions (ascending id): names,
+flags and one index, ``CallGraph.adjacency``, built once per graph: a CSR of
+the simple undirected projection with each pair's direction as a dyad code.
+Every analysis stage reads the index; ``nodes`` and ``edges`` are read-only
+views. ``parse_graph`` checks in bulk passes, and only when one fails does a
+locating loop name the first bad ``nodes[i]`` or ``edges[i]``.
 
 Wire format: one JSON document per app with fields ``app_id`` (string),
 ``label`` (optional, "benign" | "malware"), ``nodes`` (array of
@@ -23,12 +25,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -53,69 +56,96 @@ class CatalogError(InputError):
 
 @dataclass(frozen=True)
 class FunctionNode:
-    """One function in a call graph.
-
-    ``name`` is a canonical method signature of the form
-    ``package.Class.method``, possibly carrying an extractor-emitted
-    descriptor suffix such as ``()V``.
-    """
+    """One function, as ``CallGraph.nodes`` shows it. ``name`` is a method
+    signature ``package.Class.method``, maybe with a descriptor suffix (``()V``)."""
 
     id: int
     name: str
     sensitive: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CallGraph:
-    """Immutable directed call graph.
+    """Immutable, normalized directed call graph.
 
-    In a normalized graph, as :func:`parse_graph` and the generator build
-    it, ``nodes`` are ordered by ascending id and ``edges`` are sorted,
-    de-duplicated and free of self-loops. Induced subgraphs may be empty;
-    graphs read from the wire format are required to have at least one node.
+    Position ``i`` holds node ``ids[i]``, named ``names[i]`` and flagged
+    ``sensitive[i]``. ``replace`` of names or flags keeps the index. Induced
+    subgraphs may be empty; graphs read from the wire format have a node.
     """
 
     app_id: str
-    nodes: tuple[FunctionNode, ...]
-    edges: tuple[tuple[int, int], ...]
+    names: tuple[str, ...]
+    sensitive: np.ndarray  # bool, one per position
+    adjacency: Adjacency = field(repr=False)
     ground_truth: str | None = None
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def node_ids(self) -> frozenset[int]:
-        return frozenset(n.id for n in self.nodes)
-
-    @cached_property
-    def sensitive_ids(self) -> frozenset[int]:
-        return frozenset(n.id for n in self.nodes if n.sensitive)
-
-    @cached_property
-    def adjacency(self) -> Adjacency:
-        """The index every analysis stage reads, built on first use. Self-loops
-        are dropped; repeated or reversed edges merge into one pair."""
-        ids = tuple(sorted(n.id for n in self.nodes))
-        position = {nid: i for i, nid in enumerate(ids)}
+    @classmethod
+    def from_edges(cls, app_id: str, ids, names, sensitive, edges,
+                   ground_truth: str | None = None) -> CallGraph:
+        """The graph whose node ``ids[k]`` (distinct) is named ``names[k]`` and
+        flagged ``sensitive[k]``, with an arc per (caller, callee) id pair of
+        ``edges``; an endpoint that is not a node raises ``KeyError``."""
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = tuple(map(ids.__getitem__, order))
+        position = dict(zip(ids, range(len(ids))))
         n = len(ids)
-        ends = np.fromiter(map(position.__getitem__, chain.from_iterable(self.edges)),
-                           np.int64, 2 * len(self.edges)).reshape(-1, 2)
+        ends = np.fromiter(map(position.__getitem__, chain.from_iterable(edges)),
+                           np.int64, 2 * len(edges)).reshape(-1, 2)
         src, dst = ends[ends[:, 0] != ends[:, 1]].T
-        # Edge i -> j sets bit 1 of entry (i, j) and bit 2 of entry (j, i).
+        # Arc i -> j sets bit 1 of entry (i, j) and bit 2 of entry (j, i).
         keys, entry = np.unique(np.concatenate([src * n + dst, dst * n + src]),
                                 return_inverse=True)
         dyads = np.zeros(len(keys), np.uint8)
         dyads[entry[:len(src)]] |= 1
         dyads[entry[len(src):]] |= 2
         rows, indices = np.divmod(keys, max(n, 1))
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return Adjacency(ids, position, indptr, indices, rows, dyads)
+        index = Adjacency(ids, position, np.searchsorted(rows, np.arange(n + 1)),
+                          indices, rows, dyads)
+        return cls(app_id, tuple(map(names.__getitem__, order)),
+                   np.fromiter(map(sensitive.__getitem__, order), bool, n), index, ground_truth)
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return self.adjacency.ids
+
+    @property
+    def node_ids(self) -> KeysView[int]:
+        return self.adjacency.position.keys()
+
+    @property
+    def node_count(self) -> int:
+        return len(self.names)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.arcs)
+
+    @cached_property
+    def arcs(self) -> np.ndarray:
+        """(caller, callee) position rows, sorted: the entries with bit 1."""
+        calls = (self.adjacency.dyads & 1) != 0
+        return np.column_stack([self.adjacency.rows[calls], self.adjacency.indices[calls]])
+
+    @cached_property
+    def sensitive_ids(self) -> frozenset[int]:
+        return frozenset(compress(self.ids, self.sensitive.tolist()))
+
+    @cached_property
+    def nodes(self) -> tuple[FunctionNode, ...]:
+        """Read-only view of the nodes as objects; no analysis stage reads it."""
+        return tuple(map(FunctionNode, self.ids, self.names, self.sensitive.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Read-only view of the arcs as id pairs; no analysis stage reads it."""
+        return tuple((self.ids[u], self.ids[v]) for u, v in self.arcs.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CallGraph) and (
+            (self.app_id, self.ground_truth, self.ids, self.names)
+            == (other.app_id, other.ground_truth, other.ids, other.names)
+            and np.array_equal(self.sensitive, other.sensitive)
+            and np.array_equal(self.arcs, other.arcs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,25 +270,31 @@ def parse_catalog(text: str, source: str = "<memory>") -> SensitiveApiCatalog:
 
 def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
     """Recompute every node's sensitivity flag from ``catalog``: a node is
-    sensitive exactly when ``catalog.pattern`` finds its name. A node whose
-    flag does not change is kept as the same object."""
-    search = catalog.pattern.search
-    nodes = []
-    for n in graph.nodes:
-        sensitive = search(n.name) is not None
-        nodes.append(n if n.sensitive == sensitive else FunctionNode(n.id, n.name, sensitive))
-    return replace(graph, nodes=tuple(nodes))
+    sensitive exactly when ``catalog.pattern`` finds its name. Only the flags
+    change; the result shares ``graph``'s index."""
+    flags = np.fromiter(map(bool, map(catalog.pattern.search, graph.names)), bool,
+                        graph.node_count)
+    return replace(graph, sensitive=flags)
 
 
 def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
-    """Subgraph on ``node_ids`` keeping exactly the edges internal to the set."""
+    """Subgraph on ``node_ids`` keeping exactly the edges internal to the set:
+    the parent's index entries between kept positions, renumbered."""
+    adjacency = graph.adjacency
     keep = set(node_ids)
-    unknown = keep - graph.node_ids
-    if unknown:
+    if unknown := keep - adjacency.position.keys():
         raise ValueError(f"node ids not in graph: {sorted(unknown)[:5]}")
-    nodes = tuple(n for n in graph.nodes if n.id in keep)
-    edges = tuple((u, v) for u, v in graph.edges if u in keep and v in keep)
-    return replace(graph, nodes=nodes, edges=edges)
+    kept = [nid in keep for nid in adjacency.ids]
+    mask = np.array(kept, bool)
+    ids = tuple(compress(adjacency.ids, kept))
+    renumber = np.cumsum(mask) - 1
+    inside = mask[adjacency.rows] & mask[adjacency.indices]
+    rows = renumber[adjacency.rows[inside]]
+    index = Adjacency(ids, dict(zip(ids, range(len(ids)))),
+                      np.searchsorted(rows, np.arange(len(ids) + 1)),
+                      renumber[adjacency.indices[inside]], rows, adjacency.dyads[inside])
+    return replace(graph, names=tuple(compress(graph.names, kept)),
+                   sensitive=graph.sensitive[mask], adjacency=index)
 
 
 def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:
@@ -281,11 +317,32 @@ def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise GraphFormatError(f"{source}: 'nodes' must be a non-empty array")
-    # Build the normalized graph directly, de-duplicating edges as they are
-    # read. JSON decoding gives
-    # exact types, so ``type(x) is int`` takes every integer but no boolean.
-    nodes: list[FunctionNode] = []
-    seen_ids: set[int] = set()
+    # Bulk checks. JSON decoding gives exact types, so ``type(x) is int``
+    # takes every integer but no boolean.
+    if set(map(type, raw_nodes)) != {dict}:
+        _raise_first_error(raw_nodes, [], source)
+    ids = list(map(dict.get, raw_nodes, repeat("id")))
+    names = list(map(dict.get, raw_nodes, repeat("name")))
+    flags = list(map(dict.get, raw_nodes, repeat("sensitive"), repeat(False)))
+    if not (set(map(type, ids)) == {int} and min(ids) >= 0 and len(set(ids)) == len(ids)
+            and set(map(type, names)) == {str} and set(map(type, flags)) == {bool}):
+        _raise_first_error(raw_nodes, [], source)
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise GraphFormatError(f"{source}: 'edges' must be an array")
+    if not (set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}
+            and set(map(type, chain.from_iterable(raw_edges))) <= {int}):
+        _raise_first_error(raw_nodes, raw_edges, source)
+    try:
+        return CallGraph.from_edges(app_id, ids, names, flags, raw_edges, label)
+    except KeyError:  # an endpoint that is not a node
+        _raise_first_error(raw_nodes, raw_edges, source)
+
+
+def _raise_first_error(raw_nodes: list, raw_edges: list, source: str) -> NoReturn:
+    """Raise the located error of the first bad node, or else of the first
+    bad edge, once a bulk check has failed."""
+    seen: set[int] = set()
     for i, rn in enumerate(raw_nodes):
         where = f"{source}: nodes[{i}]"
         if type(rn) is not dict:
@@ -293,51 +350,33 @@ def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:
         nid = rn.get("id")
         if type(nid) is not int or nid < 0:
             raise GraphFormatError(f"{where}: 'id' must be a non-negative integer")
-        if nid in seen_ids:
+        if nid in seen:
             raise GraphFormatError(f"{where}: duplicate node id {nid}")
-        seen_ids.add(nid)
-        name = rn.get("name")
-        if type(name) is not str:
+        seen.add(nid)
+        if type(rn.get("name")) is not str:
             raise GraphFormatError(f"{where}: 'name' must be a string")
-        sensitive = rn.get("sensitive", False)
-        if type(sensitive) is not bool:
+        if type(rn.get("sensitive", False)) is not bool:
             raise GraphFormatError(f"{where}: 'sensitive' must be a boolean")
-        nodes.append(FunctionNode(id=nid, name=name, sensitive=sensitive))
-    nodes.sort(key=attrgetter("id"))
-
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise GraphFormatError(f"{source}: 'edges' must be an array")
-    edges: set[tuple[int, int]] = set()
     for i, re_ in enumerate(raw_edges):
-        if not (
-            type(re_) is list and len(re_) == 2
-            and type(re_[0]) is int and type(re_[1]) is int
-        ):
-            raise GraphFormatError(
-                f"{source}: edges[{i}]: must be an [caller_id, callee_id] int pair"
-            )
-        u, v = re_
-        if u not in seen_ids or v not in seen_ids:
-            raise GraphFormatError(f"{source}: edges[{i}]: dangling endpoint in ({u}, {v})")
-        if u != v:
-            edges.add((u, v))
-
-    return CallGraph(
-        app_id=app_id, nodes=tuple(nodes), edges=tuple(sorted(edges)), ground_truth=label
-    )
+        if not (type(re_) is list and len(re_) == 2
+                and type(re_[0]) is int and type(re_[1]) is int):
+            raise GraphFormatError(f"{source}: edges[{i}]: must be an "
+                                   "[caller_id, callee_id] int pair")
+        if re_[0] not in seen or re_[1] not in seen:
+            raise GraphFormatError(f"{source}: edges[{i}]: dangling endpoint in {tuple(re_)}")
+    raise AssertionError(f"{source}: a bulk check failed on a valid document")
 
 
 def serialize_graph(graph: CallGraph) -> str:
-    """Deterministic wire-format serialization (stable field and entry order)."""
+    """Deterministic wire-format serialization, in stored order: nodes by
+    ascending id, then the sorted arcs."""
     doc: dict = {"app_id": graph.app_id}
     if graph.ground_truth is not None:
         doc["label"] = graph.ground_truth
-    doc["nodes"] = [
-        {"id": n.id, "name": n.name, "sensitive": n.sensitive}
-        for n in sorted(graph.nodes, key=lambda n: n.id)
-    ]
-    doc["edges"] = [list(e) for e in sorted(graph.edges)]
+    ids = graph.ids
+    doc["nodes"] = [{"id": nid, "name": name, "sensitive": flag}
+                    for nid, name, flag in zip(ids, graph.names, graph.sensitive.tolist())]
+    doc["edges"] = [[ids[u], ids[v]] for u, v in graph.arcs.tolist()]
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

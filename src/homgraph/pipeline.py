@@ -157,7 +157,7 @@ def partition_report(graph: CallGraph, partition: community.CommunityPartition,
             }
             for sc in outcome.sensitive_communities
         ],
-        "suspicious_nodes": sorted(outcome.suspicious_subgraph.node_ids),
+        "suspicious_nodes": list(outcome.suspicious_subgraph.ids),
         "suspicious_edge_count": outcome.suspicious_subgraph.edge_count,
     }
 

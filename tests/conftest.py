@@ -8,24 +8,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from homgraph.model import CallGraph, FunctionNode, SensitiveApiCatalog
+from homgraph.model import SensitiveApiCatalog
 from oracles import normalize
 
 
 def make_graph(n, edges, sensitive=(), names=None, app_id="test", label=None):
     """Small-graph builder: nodes 0..n-1, explicit directed edges."""
     sens = set(sensitive)
-    nodes = tuple(
-        FunctionNode(
-            id=i,
-            name=(names[i] if names else f"com.test.Cls{i}.fn{i}"),
-            sensitive=i in sens,
-        )
+    nodes = [
+        {"id": i, "name": names[i] if names else f"com.test.Cls{i}.fn{i}", "sensitive": i in sens}
         for i in range(n)
-    )
-    return normalize(
-        CallGraph(app_id=app_id, nodes=nodes, edges=tuple(edges), ground_truth=label)
-    )
+    ]
+    return normalize({"app_id": app_id, "label": label, "nodes": nodes, "edges": list(edges)})
 
 
 def random_digraph(rng: random.Random, n, edge_prob=0.15, sensitive_count=0):

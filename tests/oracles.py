@@ -20,26 +20,42 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+
 from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES
 from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
 
 
-def normalize(graph: CallGraph) -> CallGraph:
-    """Return the normalized form of ``graph`` in two plain passes.
+def normalize(doc: dict) -> CallGraph:
+    """The normalized graph of a well-typed wire-format document, in plain
+    passes.
 
-    Drops self-loops, collapses duplicate directed edges, sorts nodes by id
-    and edges lexicographically. Idempotent. The reference for the graphs
-    ``parse_graph`` builds in one pass.
+    Sorts nodes by id (a missing flag is False), drops self-loops, collapses
+    duplicate directed edges and sorts them, then checks every endpoint. The
+    reference for the graphs ``parse_graph`` builds with bulk checks.
     """
-    nodes = tuple(sorted(graph.nodes, key=lambda n: n.id))
-    ids = {n.id for n in nodes}
-    edges = tuple(sorted({(u, v) for u, v in graph.edges if u != v}))
+    nodes = sorted(doc["nodes"], key=lambda n: n["id"])
+    ids = [n["id"] for n in nodes]
+    known = set(ids)
+    edges = sorted({(u, v) for u, v in doc.get("edges", []) if u != v})
     for u, v in edges:
-        if u not in ids or v not in ids:
+        if u not in known or v not in known:
             raise GraphFormatError(
-                f"graph {graph.app_id!r}: edge ({u}, {v}) references unknown node"
+                f"graph {doc['app_id']!r}: edge ({u}, {v}) references unknown node"
             )
-    return replace(graph, nodes=nodes, edges=edges)
+    return CallGraph.from_edges(doc["app_id"], ids, [n["name"] for n in nodes],
+                                [n.get("sensitive", False) for n in nodes], edges,
+                                doc.get("label"))
+
+
+def document(graph: CallGraph) -> dict:
+    """The wire-format document of ``graph``, read through its object views."""
+    return {
+        "app_id": graph.app_id,
+        "label": graph.ground_truth,
+        "nodes": [{"id": n.id, "name": n.name, "sensitive": n.sensitive} for n in graph.nodes],
+        "edges": [list(e) for e in graph.edges],
+    }
 
 
 def succ_pred(graph: CallGraph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
@@ -205,9 +221,8 @@ def contained_entries(name: str, catalog: SensitiveApiCatalog) -> tuple[int, ...
 def flag_from_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
     """``graph`` with every node flagged exactly when its name contains a
     catalog entry, by plain substring tests."""
-    nodes = tuple(replace(n, sensitive=bool(contained_entries(n.name, catalog)))
-                  for n in graph.nodes)
-    return replace(graph, nodes=nodes)
+    flags = np.array([bool(contained_entries(name, catalog)) for name in graph.names], bool)
+    return replace(graph, sensitive=flags)
 
 
 def _substring_hits(graph: CallGraph, catalog: SensitiveApiCatalog | None) -> dict[int, tuple[int, ...]]:

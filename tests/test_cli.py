@@ -551,6 +551,25 @@ class TestStreaming:
         assert len(featurized) == 6
         assert max(featurized.values()) <= max_per_graph
 
+    def test_features_csv_written_row_by_row(self, tmp_path, monkeypatch):
+        # The feature file is handed to the writer as lines made one at a
+        # time, never as one string of every row; the lines are the file.
+        corpus = gen_corpus(tmp_path)
+        lines = []
+        real = cli._write_text
+
+        def write_text(path, text):
+            if path.name == "features.csv":
+                assert not isinstance(text, str)
+                text = (lines.append(line) or line for line in text)
+            real(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", write_text)
+        out = tmp_path / "analysis"
+        assert run("analyze", str(corpus), "--out", str(out)) == 0
+        assert len(lines) == 7 and all(line.count("\r\n") == 1 for line in lines)
+        assert "".join(lines).encode("utf-8") == (out / "features.csv").read_bytes()
+
     def test_duplicate_app_ids_keep_argument_order(self, tmp_path):
         corpus = gen_corpus(tmp_path)
         twin_dir = tmp_path / "twins"
@@ -773,6 +792,15 @@ class TestUnwritableOut:
         err = capsys.readouterr().err
         assert str(target) in err and "Traceback" not in err
         assert target.read_text() == "keep"
+
+    def test_analyze_features_csv_is_directory(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path)
+        target = tmp_path / "analysis" / "features.csv"
+        target.mkdir(parents=True)
+        capsys.readouterr()
+        assert run("analyze", str(corpus), "--out", str(target.parent)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err and "Traceback" not in err
 
     def test_gen_out_is_file(self, tmp_path):
         target = tmp_path / "a_file"

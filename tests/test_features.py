@@ -281,7 +281,7 @@ class TestRatioFeatures:
 
 class TestPresence:
     def test_empty_subgraph_all_zero(self, desk_catalog):
-        empty = CallGraph(app_id="x", nodes=(), edges=())
+        empty = CallGraph.from_edges("x", (), (), (), ())
         vec = featurize(outcome_for(empty), desk_catalog)[:10]
         assert vec.shape == (10,) and not vec.any()
 
@@ -309,7 +309,7 @@ class TestFeaturize:
         assert len(row) == 70
 
     def test_empty_subgraph_zero_vector(self, desk_catalog):
-        empty = CallGraph(app_id="x", nodes=(), edges=())
+        empty = CallGraph.from_edges("x", (), (), (), ())
         row = featurize(outcome_for(empty), desk_catalog)
         assert len(row) == 70 and not row.any()
 

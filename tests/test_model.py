@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from homgraph.model import (
@@ -20,7 +21,7 @@ from homgraph.model import (
 )
 
 from conftest import make_graph
-from oracles import contained_entries, flag_from_catalog, normalize
+from oracles import contained_entries, document, flag_from_catalog, normalize
 
 
 def doc(**overrides):
@@ -114,9 +115,9 @@ class TestParse:
             parse_graph(doc(nodes=nodes, edges=[]))
 
     def test_equals_normalize_then_apply_catalog(self, tmp_path):
-        # parse_graph builds the normalized graph in one pass, keeping the
-        # document's flags, and load_graph then flags from the catalog; each
-        # must equal the plain-pass form of the same document.
+        # parse_graph builds the normalized graph with bulk checks, keeping
+        # the document's flags, and load_graph then flags from the catalog;
+        # each must equal the plain-pass form of the same document.
         path = tmp_path / "app.json"
         rng = random.Random(8)
         catalog = SensitiveApiCatalog(entries=("api.Net", "Tel.id", "x"))
@@ -128,11 +129,7 @@ class TestParse:
             edges = [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 80))]
             edges += rng.sample(edges, len(edges) // 3)
             text = doc(nodes=nodes, edges=edges)
-            as_read = CallGraph(
-                app_id="app",
-                nodes=tuple(FunctionNode(n["id"], n["name"], n["sensitive"]) for n in nodes),
-                edges=tuple(tuple(e) for e in edges),
-            )
+            as_read = json.loads(text)
             assert parse_graph(text) == normalize(as_read)
             path.write_text(text, encoding="utf-8")
             assert load_graph(path) == normalize(as_read)
@@ -156,17 +153,89 @@ class TestParse:
                 for nid in ids
             )
             arc = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
-            raw = CallGraph(
-                app_id=data.draw(st.text(min_size=1)),
-                nodes=nodes,
-                edges=tuple(data.draw(st.lists(arc, max_size=40))),
-                ground_truth=data.draw(st.sampled_from([None, "benign", "malware"])),
-            )
+            raw = {
+                "app_id": data.draw(st.text(min_size=1)),
+                "label": data.draw(st.sampled_from([None, "benign", "malware"])),
+                "nodes": [{"id": n.id, "name": n.name, "sensitive": n.sensitive} for n in nodes],
+                "edges": data.draw(st.lists(arc, max_size=40)),
+            }
             g = normalize(raw)
             assert parse_graph(serialize_graph(g)) == g
-            assert parse_graph(serialize_graph(raw)) == g
+            assert parse_graph(json.dumps(raw)) == g
 
         round_trip()
+
+    def test_parse_equals_normalize_property(self):
+        # Shuffled node order, omitted flags, repeated and reversed edges,
+        # self-loops, and ids past 2**63 and 2**64: the bulk-checked parse
+        # equals the plain-pass normalization of the same document.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ids = st.one_of(st.integers(0, 30), st.integers(2**63 - 2, 2**63 + 2),
+                        st.integers(2**64, 2**64 + 7))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def agrees(data):
+            node_ids = data.draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+            nodes = [{"id": nid, "name": data.draw(st.text(max_size=4))} for nid in node_ids]
+            for node in nodes:
+                flag = data.draw(st.sampled_from([None, False, True]))
+                if flag is not None:
+                    node["sensitive"] = flag
+            nodes = data.draw(st.permutations(nodes))
+            arc = st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids))
+            arcs = data.draw(st.lists(arc, max_size=30))
+            arcs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(arcs)))] if arcs else []
+            arcs += data.draw(st.lists(st.sampled_from(arcs))) if arcs else []
+            document_ = {"app_id": "p", "nodes": nodes, "edges": [list(a) for a in arcs]}
+            graph = parse_graph(json.dumps(document_))
+            assert graph == normalize(document_)
+            assert graph.ids == tuple(sorted(node_ids))
+            assert graph.edges == tuple(sorted({(u, v) for u, v in arcs if u != v}))
+
+        agrees()
+
+    def test_first_bad_entry_is_located_property(self):
+        # One bad node or edge at a random index i, and possibly a later bad
+        # one: the bulk checks fail and the locating loop names i.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        bad_ids = [True, -1, 1.0, "1", None]
+        bad_edges = [[0, True], [0, 1.0], [0, 1, 1], [0], "01", {"0": 1}]
+        node_error = r"nodes\[{}\]: 'id' must be"
+        edge_error = r"edges\[{}\]: must be an \[caller_id"
+        dangling_error = r"edges\[{}\]: dangling endpoint"
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def located(data):
+            n = data.draw(st.integers(1, 10))
+            nodes = [{"id": nid, "name": f"f{nid}"} for nid in range(n)]
+            edges = [[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))]
+                     for _ in range(data.draw(st.integers(0, 10)))]
+            in_nodes = not edges or data.draw(st.booleans())
+            entries = nodes if in_nodes else edges
+            i = data.draw(st.integers(0, len(entries) - 1))
+            if in_nodes:
+                faults = [("id", bad) for bad in bad_ids]
+                error = node_error
+            else:
+                faults = [("edge", bad) for bad in bad_edges] + [("dangling", [0, n + 5])]
+            later = data.draw(st.integers(i, len(entries) - 1))
+            for k in sorted({i, later}):
+                kind, bad = data.draw(st.sampled_from(faults))
+                if kind == "id":
+                    entries[k]["id"] = bad
+                else:
+                    entries[k] = bad
+                if k == i and not in_nodes:
+                    error = dangling_error if kind == "dangling" else edge_error
+            text = json.dumps({"app_id": "p", "nodes": nodes, "edges": edges})
+            with pytest.raises(GraphFormatError, match="^p.json: " + error.format(i)):
+                parse_graph(text, source="p.json")
+
+        located()
 
     def test_serialize_is_compact_single_line(self):
         g = make_graph(4, [(0, 1), (1, 2), (3, 0)], sensitive=[2], label="malware")
@@ -182,20 +251,12 @@ class TestNormalize:
         for _ in range(50):
             n = rng.randint(1, 60)
             edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
-            g = CallGraph(
-                app_id="x",
-                nodes=tuple(FunctionNode(i, f"n{i}") for i in range(n)),
-                edges=tuple(edges),
-            )
-            once = normalize(g)
-            assert normalize(once) == once
+            nodes = [{"id": i, "name": f"n{i}"} for i in rng.sample(range(n), n)]
+            once = normalize({"app_id": "x", "nodes": nodes, "edges": edges})
+            assert normalize(document(once)) == once
 
     def test_unknown_edge_endpoint_rejected(self):
-        g = CallGraph(
-            app_id="x",
-            nodes=(FunctionNode(0, "a"),),
-            edges=((0, 3),),
-        )
+        g = {"app_id": "x", "nodes": [{"id": 0, "name": "a"}], "edges": [(0, 3)]}
         with pytest.raises(GraphFormatError):
             normalize(g)
 
@@ -276,6 +337,29 @@ class TestSubgraph:
         sub = induced_subgraph(g, set())
         assert sub.node_count == 0 and sub.edges == ()
 
+    def test_sliced_index_equals_rebuilt_index(self):
+        # The subgraph's index, sliced from the parent's and renumbered,
+        # equals the index built afresh from the subgraph's own nodes and
+        # edges, for every subset size down to the empty set.
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            ids = rng.sample([*range(40), 2**63 + 1, 2**64 + 3], n)
+            nodes = [{"id": nid, "name": f"f{nid}", "sensitive": rng.random() < 0.3}
+                     for nid in ids]
+            edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3 * n))]
+            g = normalize({"app_id": "s", "nodes": nodes, "edges": edges})
+            sub = induced_subgraph(g, rng.sample(ids, rng.randint(0, n)))
+            rebuilt = CallGraph.from_edges("s", [v.id for v in sub.nodes],
+                                           [v.name for v in sub.nodes],
+                                           [v.sensitive for v in sub.nodes], sub.edges)
+            assert sub == rebuilt
+            mine, fresh = sub.adjacency, rebuilt.adjacency
+            assert mine.ids == fresh.ids and mine.position == fresh.position
+            for name in ("indptr", "indices", "rows", "dyads"):
+                a, b = getattr(mine, name), getattr(fresh, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_unknown_ids_rejected(self):
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValueError):
@@ -286,17 +370,16 @@ class TestSubgraph:
         flagged = apply_catalog(g, SensitiveApiCatalog(entries=("keep.Api",)))
         assert flagged.sensitive_ids == {0}
 
-    def test_apply_catalog_keeps_unchanged_nodes(self):
-        # Only a node whose flag changes is rebuilt; the rest stay the same
-        # objects, so flagging a graph whose document flags already agree
-        # copies nothing.
+    def test_apply_catalog_keeps_the_index(self):
+        # Flagging replaces only the flags: the graph is indexed once per
+        # load, and the flagged graph shares its parent's index and names.
         catalog = SensitiveApiCatalog(entries=("keep.Api",))
         names = {0: "keep.Api.call", 1: "other.X.y", 2: "keep.Api.run", 3: "z"}
         g = make_graph(4, [(0, 1), (2, 3)], sensitive=[0, 3], names=names)
         flagged = apply_catalog(g, catalog)
         assert flagged == flag_from_catalog(g, catalog)
-        kept = [a is b for a, b in zip(g.nodes, flagged.nodes)]
-        assert kept == [True, True, False, False]
+        assert flagged.adjacency is g.adjacency and flagged.names is g.names
+        assert g.sensitive.tolist() == [True, False, False, True]
 
 
 class TestAdjacency:
@@ -316,8 +399,9 @@ class TestAdjacency:
             node_ids = data.draw(st.lists(ids, min_size=1, max_size=12, unique=True))
             arc = st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids))
             edges = data.draw(st.lists(arc, max_size=40))
-            nodes = tuple(FunctionNode(id=i, name=f"f{i}") for i in node_ids)
-            adjacency = CallGraph("h", nodes, tuple(edges)).adjacency
+            names = [f"f{i}" for i in node_ids]
+            adjacency = CallGraph.from_edges("h", node_ids, names, [False] * len(names),
+                                             edges).adjacency
             digraph = nx.DiGraph()
             digraph.add_nodes_from(node_ids)
             digraph.add_edges_from((u, v) for u, v in edges if u != v)
