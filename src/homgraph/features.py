@@ -19,23 +19,26 @@ nodes A, B, C):
 The census counts rather than classifies (Moody 1998, "Matrix methods for
 calculating the triad census"): each node's out-only, in-only and mutual
 neighbour counts give every wedge type, and degree sums give the one-edge
-types. Only triangles are listed (Chiba & Nishizeki 1985); each one is
-classified and corrects the wedge and one-edge counts it was included in.
-Edgeless triples are the remainder. The per-API counts use the same wedge
-formulas and triangle correction: the wedges of the matching nodes, plus the
-wedges each neighbour loses without its arms into them, then the triangles
-through any matching node.
+types. Only triangles are listed, as arrays on the graph's CSR index: with
+nodes ranked by (degree, position), each node's pairs of higher-ranked
+("forward") neighbours are its wedges, and a lookup in the sorted CSR keys
+closes them, so each triangle is found once, from its lowest node (Schank &
+Wagner 2005; Latapy 2008). Each one is classified and corrects the wedge and
+one-edge counts it was included in. Edgeless triples are the remainder. The
+per-API counts use the same wedge formulas and triangle correction: the
+wedges of the matching nodes, plus the wedges each neighbour loses without
+its arms into them, then the triangles through any matching node.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .homophily import PartitionOutcome
-from .model import CallGraph, SensitiveApiCatalog, matching_entries
+from .model import Adjacency, CallGraph, SensitiveApiCatalog, matching_entries
 
 TRIAD_NAMES = (
     "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -56,6 +59,7 @@ _CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES
 SELECTED_TRIADS = ("021D", "021U", "021C", "111U", "030T", "120U")
 _WEDGE_TYPES = ("021D", "021U", "021C", "111D", "111U", "201")
 _SELECTED_INDEX = {name: i for i, name in enumerate(SELECTED_TRIADS)}
+_WEDGE_CHUNK = 1 << 14  # wedges built and closed at once
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,12 @@ def triad_census(
     n = len(adjacency.ids)
     hits = ([matching_entries(name, catalog) for name in subgraph.names]  # per position
             if catalog is not None else [()] * n)
-    members: dict[int, set[int]] = {}  # positions matching each entry
-    for x, entries in enumerate(hits):
-        for api in entries:
-            members.setdefault(api, set()).add(x)
-    codes = iter(adjacency.dyads.tolist())  # each zip below takes one row's codes
-    links = [dict(zip(nbrs, codes)) for nbrs in adjacency.neighbours()]
+    # Position x matches hit_entries[hit_start[x]:][:hit_count[x]].
+    hit_count = np.fromiter(map(len, hits), np.int64, n)
+    hit_entries = np.fromiter(chain.from_iterable(hits), np.int64, int(hit_count.sum()))
+    hit_start = np.cumsum(hit_count) - hit_count
+    matched = sorted(set(chain.from_iterable(hits)))
+    width = len(catalog) if matched else 0
 
     # A node's out-only, in-only and mutual neighbour counts give its wedges.
     # An edge (u, v) leaves n - d_u - d_v third nodes adjacent to neither
@@ -110,40 +114,80 @@ def triad_census(
     totals["012"] = int(n * (d - m).sum() // 2 - d @ (d - m))
     totals["102"] = int(n * m.sum() // 2 - d @ m)
 
-    # Each triangle once, from its two smallest positions, and once more for
-    # every entry that one of its nodes matches. An intersection walks the
-    # smaller side, so listing costs O(arboricity * edges) (Chiba &
-    # Nishizeki 1985).
-    closed: Counter[int] = Counter()  # triangles by code
-    entry_closed: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    for u, nu in enumerate(links):
-        for v in nu:
-            if v > u:
-                for w in nu.keys() & links[v].keys():
-                    if w > v:
-                        code = _tricode(links, u, v, w)
-                        closed[code] += 1
-                        if hits[u] or hits[v] or hits[w]:
-                            for api in {*hits[u], *hits[v], *hits[w]}:
-                                entry_closed[api][code] += 1
+    # Each triangle once by code, and once more for every entry that one of
+    # its nodes matches.
+    closed = np.zeros(64, np.int64)
+    entry_closed = np.zeros((width, 64), np.int64)
+    for uv, uw, vw in _triangles(adjacency, d):
+        code = adjacency.dyads[uv] | adjacency.dyads[uw] << 2 | adjacency.dyads[vw] << 4
+        closed += np.bincount(code, minlength=64)
+        if width:  # corners: every triangle's u, then its v, then its w
+            corners = np.concatenate([adjacency.rows[uv], adjacency.indices[uv],
+                                      adjacency.indices[uw]])
+            corner, at = _slices(hit_start[corners], hit_count[corners])
+            # Each (triangle, entry) pair once, even when two corners match.
+            pairs = np.sort(corner % len(code) * width + hit_entries[at])
+            triangle, entry = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], width)
+            entry_closed += np.bincount(entry * 64 + code[triangle],
+                                        minlength=width * 64).reshape(width, 64)
     _close(totals, closed)
-    for code, count in closed.items():
+    for code, count in enumerate(closed.tolist()):
         for dyad in (3, 12, 48):  # each edge of a triangle gains its third node
             totals["102" if code & dyad == dyad else "012"] += count
 
     sensitive: dict[tuple[int, str], int] = {}
-    degrees = a.tolist(), b.tolist(), m.tolist()
-    for api, nodes in members.items():
-        counts = _entry_wedges(links, degrees, nodes)
-        _close(counts, entry_closed.get(api, {}))
+    members = np.sort(hit_entries * n + np.repeat(np.arange(n), hit_count))
+    wedges = _entry_wedges(adjacency, (a, b, m), members, width).tolist()
+    for api in matched:
+        counts = dict.fromkeys(TRIAD_NAMES, 0)
+        counts.update(zip(_WEDGE_TYPES, wedges[api]))
+        _close(counts, entry_closed[api])
         sensitive.update(((api, t), counts[t]) for t in SELECTED_TRIADS if counts[t])
     return TriadCensus(
         total_counts=totals,
         sensitive_counts=sensitive,
         edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
         node_count=n,
-        matched_entries=tuple(sorted(members)),
+        matched_entries=tuple(matched),
     )
+
+
+def _triangles(adjacency: Adjacency, degree: np.ndarray):
+    """Yield each triangle once, as the index entries (u, v), (u, w) and
+    (v, w), in arrays per chunk of ``_WEDGE_CHUNK`` wedges.
+
+    Each pair points from its end of lower (degree, position) rank, so u is
+    the triangle's lowest node; each pair (v, w) of u's forward neighbours
+    is a wedge, closed when v * n + w is among the sorted CSR keys. No node
+    has more than sqrt(2E) forward neighbours, so there are O(E^1.5) wedges
+    (Schank & Wagner 2005; Latapy 2008).
+    """
+    n = len(adjacency.ids)
+    rank = np.empty(n, np.int64)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    forward = np.flatnonzero(rank[adjacency.rows] < rank[adjacency.indices])
+    # A row's forward entries lie together; each is the second arm of a
+    # wedge with every one before it, so second arm w has its wedges up to
+    # ends[w] and first arm forward[wedge - ends[w] + w].
+    ends = np.cumsum(np.arange(len(forward)) - np.searchsorted(adjacency.rows[forward],
+                                                               adjacency.rows[forward]))
+    total = int(ends[-1]) if len(ends) else 0
+    keys = adjacency.rows * n + adjacency.indices
+    for start in range(0, total, _WEDGE_CHUNK):
+        wedge = np.arange(start, min(start + _WEDGE_CHUNK, total))
+        w = np.searchsorted(ends, wedge, side="right")
+        uv, uw = forward[wedge - ends[w] + w], forward[w]
+        wanted = adjacency.indices[uv] * n + adjacency.indices[uw]
+        vw = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        found = keys[vw] == wanted
+        yield uv[found], uw[found], vw[found]
+
+
+def _slices(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and index of each element of the slices ``starts[k]`` to
+    ``starts[k] + lengths[k]``, laid end to end."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, starts[owner] + np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
 
 
 def _wedges(a, b, m) -> tuple:
@@ -153,43 +197,40 @@ def _wedges(a, b, m) -> tuple:
     return a * (a - 1) // 2, b * (b - 1) // 2, a * b, m * b, m * a, m * (m - 1) // 2
 
 
-def _close(counts: dict[str, int], closed: dict[int, int]) -> None:
-    """Count each triangle, given by code, as its closed type instead of the
-    three wedges at its corners: dropping one dyad's two bits leaves the
-    wedge at the opposite corner."""
-    for code, count in closed.items():
+def _close(counts: dict[str, int], closed: np.ndarray) -> None:
+    """Count each triangle, tallied by code in ``closed``, as its closed type
+    instead of the three wedges at its corners: dropping one dyad's two bits
+    leaves the wedge at the opposite corner."""
+    for code in np.flatnonzero(closed).tolist():
+        count = int(closed[code])
         counts[_CODE_TO_NAME[code]] += count
         for dyad in (3, 12, 48):
             counts[_CODE_TO_NAME[code & ~dyad]] -= count
 
 
-def _entry_wedges(links: list[dict[int, int]], degrees: tuple, nodes: set[int]) -> dict[str, int]:
-    """Triad counts with every wedge holding one of ``nodes``, in O(sum of
-    their degrees): all wedges centred on them, and at each other neighbour
-    y those that lose an arm when y's arms into ``nodes`` go."""
+def _entry_wedges(adjacency: Adjacency, degrees: tuple, members: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Per entry, by type in ``_WEDGE_TYPES`` order, the wedges holding one
+    of its nodes: all wedges centred on them, and at each other neighbour y
+    those that lose an arm when y's arms into them go. ``members`` holds the
+    keys entry * n + position, ascending; their CSR slices are the arms, so
+    this costs O(sum of the members' degrees)."""
+    n = len(adjacency.ids)
     a, b, m = degrees
-    gained = [_wedges(a[x], b[x], m[x]) for x in nodes]
-    lost = []
-    arms: dict[int, list[int]] = {}  # y -> its arms by dyad code from the far end
-    for x in nodes:
-        for y, code in links[x].items():
-            if y not in nodes:
-                arms.setdefault(y, [0, 0, 0, 0])[code] += 1
-    for y, (_, ins, outs, mutual) in arms.items():  # x -> y is in-only at y
-        gained.append(_wedges(a[y], b[y], m[y]))
-        lost.append(_wedges(a[y] - outs, b[y] - ins, m[y] - mutual))
-    counts = dict.fromkeys(TRIAD_NAMES, 0)
-    for rows, sign in ((gained, 1), (lost, -1)):
-        for name, column in zip(_WEDGE_TYPES, zip(*rows)):
-            counts[name] += sign * sum(column)
+    entry, x = np.divmod(members, n)
+    owner, arm = _slices(adjacency.indptr[x], np.diff(adjacency.indptr)[x])
+    ends = entry[owner] * n + adjacency.indices[arm]
+    outside = ~np.isin(ends, members)
+    far, group = np.unique(ends[outside], return_inverse=True)
+    # x -> y is in-only at y: arms by dyad code from the far end.
+    _, ins, outs, mutual = np.bincount(group * 4 + adjacency.dyads[arm[outside]],
+                                       minlength=4 * len(far)).reshape(-1, 4).T
+    y = far % n
+    counts = np.zeros((width, len(_WEDGE_TYPES)), np.int64)
+    np.add.at(counts, entry, np.column_stack(_wedges(a[x], b[x], m[x])))
+    np.add.at(counts, far // n, np.column_stack(_wedges(a[y], b[y], m[y]))
+              - np.column_stack(_wedges(a[y] - outs, b[y] - ins, m[y] - mutual)))
     return counts
-
-
-def _tricode(links: list[dict[int, int]], v: int, u: int, w: int) -> int:
-    """The 6-bit pattern of positions (v, u, w): the dyad codes of (v, u),
-    (v, w) and (u, w) in bits 0-1, 2-3 and 4-5."""
-    lv = links[v]
-    return lv.get(u, 0) | lv.get(w, 0) << 2 | links[u].get(w, 0) << 4
 
 
 def ratio_features(census: TriadCensus, catalog: SensitiveApiCatalog) -> np.ndarray:

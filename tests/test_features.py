@@ -32,6 +32,19 @@ def dyad_edges(rng, n, edge_prob, mutual_prob):
     return edges
 
 
+def dense_block_graph():
+    """A sparse graph of 240 nodes holding a directed block on nodes 0-59:
+    each block pair is linked with probability 0.5, a third of links
+    mutual, which closes about 4,300 triangles. A dozen block nodes match
+    the nested entries "api5" and "api56", or "api6"; so do a few outside."""
+    rng = random.Random(60)
+    edges = dyad_edges(rng, 60, 0.5, 0.3) + dyad_edges(rng, 240, 0.01, 0.3)
+    names = {j: f"fn{j}" for j in range(240)}
+    for j in (*rng.sample(range(60), 12), *rng.sample(range(60, 240), 4)):
+        names[j] = rng.choice(("wrapped.api5.call", "api6()", "x.api56.y")) + str(j)
+    return make_graph(240, edges, names=names)
+
+
 def outcome_for(graph, threshold=3.0):
     return PartitionOutcome(
         benign_nodes=frozenset(),
@@ -39,6 +52,11 @@ def outcome_for(graph, threshold=3.0):
         suspicious_subgraph=graph,
         threshold=threshold,
     )
+
+
+# Wedge chunk sizes: one wedge, a size that splits rows, and the default.
+CHUNKS = pytest.mark.parametrize("chunk", [1, 7, features._WEDGE_CHUNK],
+                                 ids=lambda chunk: f"chunk{chunk}")
 
 
 class TestTriadDefinitions:
@@ -93,11 +111,13 @@ class TestCensus:
             if code != "021C":
                 assert census.total_counts[code] == 0
 
-    def test_matches_brute_force_on_random_digraphs(self):
+    @CHUNKS
+    def test_matches_brute_force_on_random_digraphs(self, monkeypatch, chunk):
         # "api56" nests "api5", so a node can match two entries; several
         # nodes share each entry, often within two hops of each other, so a
         # triad can hold two nodes matching one entry. Graphs run from 0 to
         # 30 nodes, with isolated nodes and no, some or only mutual dyads.
+        monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
         catalog = SensitiveApiCatalog(entries=("api5", "api6", "api56"))
         names = ("fn", "wrapped.api5.call", "api6()", "x.api56.y")
         rng = random.Random(12)
@@ -132,15 +152,18 @@ class TestCensus:
             covered["isolated"] += any(not nbrs for nbrs in neighbors.values())
         assert min(covered.values()) >= 20, covered
 
-    def test_matches_walk_oracle_on_hub_graphs(self):
+    @CHUNKS
+    def test_matches_walk_oracle_on_hub_graphs(self, monkeypatch, chunk):
         # Graphs of 40 to 293 nodes in which node 0 is a hub called by most
         # other nodes, about one in ten mutually. The hub matches the nested
         # entries "api5" and "api56"; two or three of its callers match
         # "api6", so they lie within two hops of each other, and a few more
-        # nodes match entries at random, some of them next to the hub.
+        # nodes match entries at random, some of them next to the hub. Last
+        # comes a dense block with thousands of triangles.
+        monkeypatch.setattr(features, "_WEDGE_CHUNK", chunk)
         catalog = SensitiveApiCatalog(entries=("api5", "api6", "api56"))
         rng = random.Random(19)
-        big_hubs = 0
+        graphs, big_hubs = [], 0
         for i in range(24):
             n = 40 + 11 * i
             callers = rng.sample(range(1, n), n - 1 - rng.randint(0, n // 10))
@@ -151,31 +174,40 @@ class TestCensus:
             names[0] = "x.api56.y"
             for c in rng.sample(callers, rng.randint(2, 3)):
                 names[c] = f"api6({c})"
-            g = make_graph(n, edges, names=names)
+            graphs.append(make_graph(n, edges, names=names))
+            big_hubs += len(callers) >= 200
+        assert big_hubs >= 5
 
+        for g in (*graphs, dense_block_graph()):
             census = triad_census(g, catalog)
             totals, edgeless, sensitive = walk_census(g, catalog)
             assert census.total_counts == totals
             assert census.edgeless_triples == edgeless
             assert census.sensitive_counts == sensitive
-            big_hubs += len(callers) >= 200
-        assert big_hubs >= 5
+        closed_types = ("030T", "030C", "120D", "120U", "120C", "210", "300")
+        assert sum(census.total_counts[t] for t in closed_types) == 4371
+        assert len(census.sensitive_counts) == 3 * len(SELECTED_TRIADS)
 
     def test_hub_classifies_only_triangles(self, monkeypatch):
         # A sensitive hub with 3,000 one-call wrapper callers; each wrapper
         # is called by one of 40 callers, and every other caller also calls
-        # the hub, closing 1,500 triangles. Only those are classified.
+        # the hub, closing 1,500 triangles. Only those are listed. In degree
+        # order each wrapper holds the graph's only wedges, 3,000 in all; in
+        # position order the hub would hold about 4.6 million.
         wrappers, callers = range(1, 3001), range(3001, 3041)
         edges = [(w, 0) for w in wrappers] + [(callers[w % 40], w) for w in wrappers]
         edges += [(c, 0) for c in callers[::2]]
         names = {j: "api5()" if j == 0 else f"fn{j}" for j in range(3041)}
         g = make_graph(3041, edges, names=names)
-        calls = []
-        real = features._tricode
-        monkeypatch.setattr(features, "_tricode", lambda *args: calls.append(1) or real(*args))
+        chunks = []
+        real = features._triangles
+        monkeypatch.setattr(features, "_WEDGE_CHUNK", 1000)
+        monkeypatch.setattr(features, "_triangles", lambda *args: [
+            chunks.append(len(chunk[0])) or chunk for chunk in real(*args)])
 
         census = triad_census(g, SensitiveApiCatalog(entries=("api5",)))
-        assert len(calls) == census.total_counts["030T"] == 1500
+        assert len(chunks) == 3
+        assert sum(chunks) == census.total_counts["030T"] == 1500
         # Each triangle closes one of the hub's in-wedges and one wrapper's chain.
         in_wedges = 3020 * 3019 // 2 - 1500
         assert census.sensitive_counts == {
@@ -212,11 +244,14 @@ class TestNetworkxCensus:
     def test_totals_equal_networkx_triadic_census(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(31)
+        graphs = []
         for i in range(120):
             n = rng.randint(0, 25)
-            g = make_graph(n, dyad_edges(rng, n, rng.uniform(0.05, 0.4), (0.0, 0.3, 1.0)[i % 3]))
+            graphs.append(make_graph(n, dyad_edges(rng, n, rng.uniform(0.05, 0.4),
+                                                   (0.0, 0.3, 1.0)[i % 3])))
+        for g in (*graphs, dense_block_graph()):
             digraph = nx.DiGraph()
-            digraph.add_nodes_from(range(n))
+            digraph.add_nodes_from(range(len(g.nodes)))
             digraph.add_edges_from(g.edges)
             expected = nx.triadic_census(digraph)
             census = triad_census(g)

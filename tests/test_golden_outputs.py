@@ -11,7 +11,9 @@ written here, shaped for what the generator never makes: non-dense node
 ids (one at least 2**63), an isolated node, duplicate, self-loop and mutual
 input edges, a hub with 55 callers, sensitive APIs in many communities, one
 entry matched by two nodes two hops apart, and a catalog whose entries
-nest (one begins with another).
+nest (one begins with another). One more graph holds a dense directed
+payload block, so the census behind its features lists thousands of
+triangles.
 """
 
 import hashlib
@@ -173,6 +175,31 @@ def shaped_doc(index):
     return {"app_id": f"shaped-{index}", "label": label, "nodes": nodes, "edges": edges}
 
 
+def dense_doc():
+    """A malware graph whose payload is a directed block of 60 nodes: each
+    pair is linked with probability 0.5 and a third of links are mutual,
+    closing thousands of triangles. A dozen block nodes call nested
+    sensitive APIs. The block hangs off 120 sparsely linked benign nodes by
+    three edges, so it stays one weakly coupled, suspicious community."""
+    rng = random.Random(60)
+    ids = [3 + 7 * k for k in range(180)]
+    block, rest = ids[:60], ids[60:]
+    names = {nid: f"app.pkg.C{k}.m{k}" for k, nid in enumerate(ids)}
+    for k, nid in enumerate(rng.sample(block, 12)):
+        names[nid] = f"lib.{('api.Net.send()V', 'api.Net.open', 'api.Sms.send')[k % 3]}"
+    edges = []
+    for members, prob in ((block, 0.5), (rest, 0.03)):
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                if rng.random() < prob:
+                    edges.append([u, v] if rng.random() < 0.5 else [v, u])
+                    if rng.random() < 0.3:
+                        edges.append(edges[-1][::-1])
+    edges += [[block[k], rest[k]] for k in range(3)]
+    nodes = [{"id": nid, "name": names[nid]} for nid in ids]
+    return {"app_id": "dense-0", "label": "malware", "nodes": nodes, "edges": edges}
+
+
 def shaped_commands(root):
     """Write the shaped graphs and catalog under ``root``; the command set."""
     corpus = root / "graphs"
@@ -182,12 +209,17 @@ def shaped_commands(root):
         (corpus / f"shaped-{index}.json").write_text(text + "\n", encoding="utf-8")
     catalog = root / "catalog.txt"
     catalog.write_text("\n".join(SHAPED_CATALOG) + "\n", encoding="utf-8")
+    dense = root / "dense"
+    dense.mkdir()
+    text = json.dumps(dense_doc(), separators=(",", ":"))
+    (dense / "dense-0.json").write_text(text + "\n", encoding="utf-8")
     argvs = [
         ["analyze", corpus, "--catalog", catalog, "--threshold", "0.2",
          "--out", root / "analyze"],
         ["eval", corpus, "--catalog", catalog, "--sweep", "0.03,0.2,1", "--folds", "2",
          "--out", root / "eval-sweep.json"],
         ["communities", corpus, "--out", root / "communities.json"],
+        ["analyze", dense, "--catalog", catalog, "--out", root / "analyze-dense"],
     ]
     for index in (0, 1):
         graph = corpus / f"shaped-{index}.json"
@@ -199,6 +231,10 @@ def shaped_commands(root):
 
 
 SHAPED_GOLDEN = {
+    "analyze-dense/features.csv":
+        "a313a7853b8c880848c54523b1289832c9c3dc8ca4314690616bfbd43af4ecbe",
+    "analyze-dense/partitions.json":
+        "b347371cf02cd75a59c70f3d510f99b94a446c6adef80325b2348749692a247a",
     "analyze/features.csv":
         "fe496cd663dc3eed1694ed0b63974cfe4bd7824e6807eb3e4b8aa2983fc2f9ff",
     "analyze/partitions.json":
@@ -211,6 +247,8 @@ SHAPED_GOLDEN = {
         "28fa7f4275259452ffa086b8a09a58c3e4bb15b2bb2d2a409c51e57bdc0dad09",
     "covertness-1.json":
         "e999674c6e62449271eade4af135bf868d952c40b00c1904c077fdbcc9012655",
+    "dense/dense-0.json":
+        "75749e8777b5fcdeff51f16fba7e4e181e85df8022b4770e8a481a4b44af44f8",
     "eval-sweep.json":
         "59156873dc1e89030abfb371c2c6beffc04802433aa2172dad74a562c37ddbd5",
     "graphs/shaped-0.json":
