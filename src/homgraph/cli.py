@@ -166,26 +166,30 @@ def cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     catalog = load_catalog(args.catalog)
-    corpus = generate.iter_corpus(spec, args.benign, args.covert, catalog)
+    members = generate.corpus_members(spec, args.benign, args.covert, catalog)
     out_dir = Path(args.out)
-    manifest = {"spec": asdict(spec), "catalog": catalog.source, "graphs": []}
-    for graph, truth in corpus:
-        file_name = f"{graph.app_id}.json"
-        _write_text(out_dir / file_name, serialize_graph(graph))
-        manifest["graphs"].append(
-            {
-                "app_id": truth.app_id,
-                "label": truth.label,
-                "file": file_name,
-                "planted_nodes": sorted(truth.planted_nodes),
-                "api_indices": list(truth.api_indices),
-                "planted_coupling": truth.planted_coupling,
-            }
-        )
-        del graph  # not kept alive while the next one is generated
+    entries = pipeline.fork_map(
+        lambda member: _write_graph(spec, catalog, *member, out_dir), members)
+    manifest = {"spec": asdict(spec), "catalog": catalog.source, "graphs": entries}
     _write_text(out_dir / "manifest.json", _json_text(manifest))
-    print(f"wrote {len(manifest['graphs'])} graphs + manifest to {out_dir}", file=sys.stderr)
+    print(f"wrote {len(entries)} graphs + manifest to {out_dir}", file=sys.stderr)
     return EXIT_OK
+
+
+def _write_graph(spec: generate.SyntheticSpec, catalog, label: str, index: int,
+                 out_dir: Path) -> dict:
+    """Generate, serialize and write one graph; its manifest entry."""
+    graph, truth = generate.generate_graph(spec, catalog, label, index)
+    file_name = f"{graph.app_id}.json"
+    _write_text(out_dir / file_name, serialize_graph(graph))
+    return {
+        "app_id": truth.app_id,
+        "label": truth.label,
+        "file": file_name,
+        "planted_nodes": sorted(truth.planted_nodes),
+        "api_indices": list(truth.api_indices),
+        "planted_coupling": truth.planted_coupling,
+    }
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
@@ -229,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise InputError("analyze requires --out DIRECTORY")
     _check_threshold("--threshold", args.threshold)
     catalog = load_catalog(args.catalog)
-    analyses = pipeline.analyze_corpus(pipeline.read_graphs(args.paths, catalog), catalog,
+    analyses = pipeline.analyze_corpus(pipeline.graph_files(args.paths), catalog,
                                        args.threshold, args.seed)
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
@@ -330,7 +334,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         catalog = load_catalog(args.catalog)
         analyses = pipeline.analyze_corpus(
-            pipeline.read_graphs(args.paths, catalog), catalog, args.threshold, args.seed,
+            pipeline.graph_files(args.paths), catalog, args.threshold, args.seed,
             thresholds, reports=False,
         )
         samples, *swept = pipeline.samples_by_threshold(analyses)

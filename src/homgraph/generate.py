@@ -8,9 +8,9 @@ band (default target 2, inside (1, 3]) and benign graphs land clearly above
 the detection threshold (default target 4). Everything is a pure function
 of the spec seed; per-graph seeds derive from it by hashing.
 
-``iter_corpus`` checks the spec for every requested label, then generates
-one graph at a time: ``gen`` holds one graph in memory, and writes nothing
-for a spec that either label cannot meet.
+``corpus_members`` checks the spec for every requested label before any
+graph is made, so ``gen`` writes nothing for a spec that either label
+cannot meet; ``iter_corpus`` then generates one graph at a time.
 """
 
 from __future__ import annotations
@@ -106,6 +106,24 @@ def _validate_spec(spec: SyntheticSpec, catalog: SensitiveApiCatalog) -> None:
             raise InfeasibleSpecError(f"{name} must be finite and positive, got {target}")
 
 
+def corpus_members(
+    spec: SyntheticSpec,
+    benign_count: int,
+    covert_count: int,
+    catalog: SensitiveApiCatalog,
+) -> list[tuple[str, int]]:
+    """Check the spec for every requested label, then list the ``(label,
+    index)`` of each graph to generate: benign graphs first."""
+    if benign_count < 0 or covert_count < 0:
+        raise InfeasibleSpecError("graph counts must be non-negative")
+    _validate_spec(spec, catalog)
+    counts = ((BENIGN, benign_count), (MALWARE, covert_count))
+    for label, count in counts:
+        if count:
+            _cross_edges(spec, label)
+    return [(label, i) for label, count in counts for i in range(count)]
+
+
 def iter_corpus(
     spec: SyntheticSpec,
     benign_count: int,
@@ -114,20 +132,10 @@ def iter_corpus(
 ) -> Iterator[tuple[CallGraph, PlantedTruth]]:
     """Validate now, then yield ``benign_count`` benign and ``covert_count``
     covert graphs, each generated only when it is asked for."""
-    if benign_count < 0 or covert_count < 0:
-        raise InfeasibleSpecError("graph counts must be non-negative")
     if catalog is None:
         catalog = load_catalog()
-    _validate_spec(spec, catalog)
-    counts = ((BENIGN, benign_count), (MALWARE, covert_count))
-    for label, count in counts:
-        if count:
-            _cross_edges(spec, label)
-    return (
-        generate_graph(spec, catalog, label, i)
-        for label, count in counts
-        for i in range(count)
-    )
+    members = corpus_members(spec, benign_count, covert_count, catalog)
+    return (generate_graph(spec, catalog, label, i) for label, i in members)
 
 
 def generate_corpus(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -20,6 +21,23 @@ def make_graph(n, edges, sensitive=(), names=None, app_id="test", label=None):
         for i in range(n)
     ]
     return normalize({"app_id": app_id, "label": label, "nodes": nodes, "edges": list(edges)})
+
+
+class ProcessLog:
+    """A list that this process and its forked workers append to alike: each
+    value is a JSON line appended to ``path``, so the values a worker
+    records are not lost with its copy of memory when it exits."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.touch()
+
+    def append(self, value) -> None:
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(value) + "\n")
+
+    def values(self) -> list:
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
 
 
 def random_digraph(rng: random.Random, n, edge_prob=0.15, sensitive_count=0):

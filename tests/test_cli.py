@@ -1,9 +1,8 @@
 import argparse
 import json
-import multiprocessing
+import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -16,7 +15,7 @@ from homgraph import cli, community, generate, homophily, pipeline
 from homgraph.cli import build_parser, main, read_features_csv
 from homgraph.model import InputError, load_catalog, serialize_graph
 
-from conftest import make_graph
+from conftest import ProcessLog, make_graph
 
 GEN_FLAGS = ["--benign", "3", "--covert", "3", "--seed", "7"]
 
@@ -209,9 +208,9 @@ class TestCommunities:
 
     def test_one_graph_in_memory(self, tmp_path, monkeypatch):
         corpus = gen_corpus(tmp_path)
-        alive = track_loads(monkeypatch)
+        alive = track_loads(monkeypatch, tmp_path)
         assert run("communities", str(corpus), "--out", str(tmp_path / "comm.json")) == 0
-        assert alive == [0] * 6
+        assert alive.values() == [0] * 6
 
     def test_path_order_does_not_change_report(self, tmp_path):
         corpus = gen_corpus(tmp_path)
@@ -386,7 +385,7 @@ class TestEval:
         assert [row["threshold"] for row in report["sweep"]] == [1, 2, 3, 4, 5]
 
     def test_sweep_detects_each_graph_once(self, eval_corpus, tmp_path, monkeypatch):
-        calls = []
+        calls = ProcessLog(tmp_path / "calls.jsonl")
         real = community.detect_multilevel
 
         def detect(graph, seed=0):
@@ -397,7 +396,7 @@ class TestEval:
         out = tmp_path / "sweep.json"
         assert run("eval", str(eval_corpus), "--folds", "4",
                    "--sweep", "1,3", "--out", str(out)) == 0
-        assert len(calls) == len(set(calls)) == 24
+        assert len(calls.values()) == len(set(calls.values())) == 24
         report = json.loads(out.read_text())
         at_default = next(row for row in report["sweep"] if row["threshold"] == 3)
         assert at_default["macro"] == report["report"]["macro"]
@@ -472,10 +471,10 @@ class TestSweep:
                            **payload["report"]}
 
 
-def track_loads(monkeypatch):
-    """Wrap ``pipeline.load_graph``; return, per load, how many graphs loaded
-    before it are still alive when it starts."""
-    refs, alive = [], []
+def track_loads(monkeypatch, tmp_path):
+    """Wrap ``pipeline.load_graph``; return a log of, per load, how many
+    graphs that its process loaded before it are still alive when it starts."""
+    refs, alive = [], ProcessLog(tmp_path / "alive.jsonl")
     real = pipeline.load_graph
 
     def load_graph(*args, **kwargs):
@@ -490,7 +489,8 @@ def track_loads(monkeypatch):
 
 class TestGenStreaming:
     def test_writes_each_graph_before_generating_the_next(self, tmp_path, monkeypatch):
-        refs, alive, generated_at_write = [], [], []
+        refs = []
+        alive, writes = ProcessLog(tmp_path / "alive.jsonl"), ProcessLog(tmp_path / "writes.jsonl")
         real_generate, real_write = generate.generate_graph, cli._write_text
 
         def generate_graph(*args):
@@ -500,15 +500,24 @@ class TestGenStreaming:
             return graph, truth
 
         def write_text(path, text):
-            generated_at_write.append(len(refs))
+            writes.append([os.getpid(), len(refs), path.name])
             real_write(path, text)
 
         monkeypatch.setattr(generate, "generate_graph", generate_graph)
         monkeypatch.setattr(cli, "_write_text", write_text)
         gen_corpus(tmp_path)
-        # One write per graph, each right after its graph, then the manifest.
-        assert generated_at_write == [1, 2, 3, 4, 5, 6, 6]
-        assert alive == [0] * 6
+        # In each process, one write per graph, each right after its graph;
+        # then this process writes the manifest.
+        *graphs, manifest = writes.values()
+        assert manifest[0] == os.getpid() and manifest[2] == "manifest.json"
+        per_process = {}
+        for pid, generated, _ in graphs:
+            per_process.setdefault(pid, []).append(generated)
+        assert sum(map(len, per_process.values())) == 6
+        for made in per_process.values():
+            assert made == list(range(1, len(made) + 1))
+        assert manifest[1] == len(per_process[os.getpid()])
+        assert alive.values() == [0] * 6
 
     def test_peak_memory_flat_in_corpus_size(self, tmp_path):
         small = ["--nodes", "400", "--communities", "16", "--intra-p", "0.15"]
@@ -533,19 +542,20 @@ class TestStreaming:
     ], ids=["analyze", "eval_sweep"])
     def test_one_graph_in_memory(self, tmp_path, monkeypatch, command, max_per_graph):
         corpus = gen_corpus(tmp_path)
-        alive = track_loads(monkeypatch)
-        featurized = Counter()
+        alive = track_loads(monkeypatch, tmp_path)
+        featurized_log = ProcessLog(tmp_path / "featurized.jsonl")
         real = pipeline.featurize
 
         def featurize(outcome, catalog):
-            featurized[outcome.suspicious_subgraph.app_id] += 1
+            featurized_log.append(outcome.suspicious_subgraph.app_id)
             return real(outcome, catalog)
 
         monkeypatch.setattr(pipeline, "featurize", featurize)
         name, *flags = command
         flags[-1] = str(tmp_path / flags[-1])
         assert run(name, str(corpus), *flags) == 0
-        assert alive == [0] * 6
+        assert alive.values() == [0] * 6
+        featurized = Counter(featurized_log.values())
         # Each generated graph has one sensitive community, so the main
         # threshold and the sweep give at most two suspicious unions.
         assert len(featurized) == 6
@@ -806,28 +816,3 @@ class TestUnwritableOut:
         target = tmp_path / "a_file"
         target.write_text("keep")
         assert run("gen", "--benign", "1", "--out", str(target)) == 2
-
-
-class TestNoConcurrency:
-    def test_analyze_starts_no_thread_or_process(self, tmp_path, monkeypatch):
-        corpus = gen_corpus(tmp_path)
-        started = []
-        thread_start = threading.Thread.start
-        process_start = multiprocessing.process.BaseProcess.start
-
-        def record_thread(self, *args, **kwargs):
-            started.append(self)
-            return thread_start(self, *args, **kwargs)
-
-        def record_process(self, *args, **kwargs):
-            started.append(self)
-            return process_start(self, *args, **kwargs)
-
-        monkeypatch.setattr(threading.Thread, "start", record_thread)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_process)
-        threads = threading.active_count()
-        children = multiprocessing.active_children()
-        assert run("analyze", str(corpus), "--out", str(tmp_path / "a")) == 0
-        assert started == []
-        assert threading.active_count() == threads
-        assert multiprocessing.active_children() == children
