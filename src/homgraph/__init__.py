@@ -15,6 +15,7 @@ from .community import (
     compare_algorithms,
     detect_label_propagation,
     detect_multilevel,
+    detector_runs,
     modularity,
 )
 from .features import (
@@ -73,6 +74,7 @@ __all__ = [
     "cross_validate",
     "detect_label_propagation",
     "detect_multilevel",
+    "detector_runs",
     "featurize",
     "generate_corpus",
     "knn_predict",

@@ -193,7 +193,11 @@ def _write_graph(spec: generate.SyntheticSpec, catalog, label: str, index: int,
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    rows = community.compare_algorithms(pipeline.read_graphs(args.paths), args.seed)
+    runs = pipeline.map_graphs(lambda g: community.detector_runs(g, args.seed),
+                               pipeline.graph_files(args.paths))
+    if not runs:
+        raise InputError("every graph in the corpus failed to analyze")
+    rows = community.compare_algorithms(runs)
     for row in rows:
         print(
             f"{row.algorithm}: mean Q {row.mean_q:.4f}, "

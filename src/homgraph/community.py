@@ -284,34 +284,30 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     return _dense_partition(graph, labels)
 
 
-def compare_algorithms(
-    graphs: Iterable[CallGraph], seed: int = 0
-) -> tuple[AlgorithmComparison, ...]:
-    """Run both detectors over a corpus; mean Q and mean wall-clock runtime.
+def detector_runs(graph: CallGraph, seed: int = 0) -> tuple[str, list[tuple[float, float]]]:
+    """The app id of ``graph`` and, for multilevel then label propagation,
+    the Q each detector reaches on it and its wall-clock seconds."""
+    runs = []
+    for detector in (detect_multilevel, detect_label_propagation):
+        start = time.perf_counter()
+        q = detector(graph, seed).modularity_q
+        runs.append((q, time.perf_counter() - start))
+    return graph.app_id, runs
 
-    Both detectors run on each graph before the next one is read, and only
-    its app id, Q and seconds are kept, so a lazy source holds one graph in
-    memory at a time. Sums run in app id order (stable), whatever order the
-    graphs arrive in.
-    """
-    detectors = ((MULTILEVEL, detect_multilevel), (LABEL_PROPAGATION, detect_label_propagation))
-    rows = []  # (app_id, [(Q, seconds) per detector])
-    for g in graphs:
-        runs = []
-        for _, detector in detectors:
-            start = time.perf_counter()
-            q = detector(g, seed).modularity_q
-            runs.append((q, time.perf_counter() - start))
-        rows.append((g.app_id, runs))
-        del g  # not kept alive while the next one loads
+
+def compare_algorithms(
+    rows: Iterable[tuple[str, list[tuple[float, float]]]]
+) -> tuple[AlgorithmComparison, ...]:
+    """Mean Q and mean wall-clock runtime of each detector over the
+    :func:`detector_runs` rows of a corpus. Sums run in app id order
+    (stable), whatever order the rows arrive in."""
+    rows = sorted(rows, key=lambda row: row[0])
     if not rows:
         raise ValueError("compare_algorithms needs at least one graph")
-    rows.sort(key=lambda row: row[0])
     n = len(rows)
     comparisons = []
-    for i, (name, _) in enumerate(detectors):
-        total_q = 0.0
-        total_t = 0.0
+    for i, name in enumerate((MULTILEVEL, LABEL_PROPAGATION)):
+        total_q = total_t = 0.0
         for _, runs in rows:
             total_q += runs[i][0]
             total_t += runs[i][1]

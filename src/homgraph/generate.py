@@ -10,7 +10,7 @@ of the spec seed; per-graph seeds derive from it by hashing.
 
 ``corpus_members`` checks the spec for every requested label before any
 graph is made, so ``gen`` writes nothing for a spec that either label
-cannot meet; ``iter_corpus`` then generates one graph at a time.
+cannot meet; ``generate_graph`` then makes one graph at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -124,20 +123,6 @@ def corpus_members(
     return [(label, i) for label, count in counts for i in range(count)]
 
 
-def iter_corpus(
-    spec: SyntheticSpec,
-    benign_count: int,
-    covert_count: int,
-    catalog: SensitiveApiCatalog | None = None,
-) -> Iterator[tuple[CallGraph, PlantedTruth]]:
-    """Validate now, then yield ``benign_count`` benign and ``covert_count``
-    covert graphs, each generated only when it is asked for."""
-    if catalog is None:
-        catalog = load_catalog()
-    members = corpus_members(spec, benign_count, covert_count, catalog)
-    return (generate_graph(spec, catalog, label, i) for label, i in members)
-
-
 def generate_corpus(
     spec: SyntheticSpec,
     benign_count: int,
@@ -145,7 +130,10 @@ def generate_corpus(
     catalog: SensitiveApiCatalog | None = None,
 ) -> list[tuple[CallGraph, PlantedTruth]]:
     """Generate ``benign_count`` benign and ``covert_count`` covert graphs."""
-    return list(iter_corpus(spec, benign_count, covert_count, catalog))
+    if catalog is None:
+        catalog = load_catalog()
+    return [generate_graph(spec, catalog, label, i)
+            for label, i in corpus_members(spec, benign_count, covert_count, catalog)]
 
 
 def _block_sizes(total: int, blocks: int) -> list[int]:

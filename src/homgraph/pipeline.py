@@ -3,12 +3,14 @@
 Per-graph analysis takes a coupling threshold and a seed; the defaults are
 the best-performing configuration (threshold 3). Communities always come
 from multilevel detection. The catalog is loaded by the caller, and
-classifier settings (k, folds) go straight to ``classify``. Corpus runs
-stream: each graph is parsed, detected, coupled once for every threshold
-and featurized once per distinct suspicious union, and only its
-``GraphAnalysis`` is kept before the next file is read. :func:`fork_map`
-spreads those per-graph calls over one process per usable CPU. Results
-come out stably sorted by app_id.
+classifier settings (k, folds) go straight to ``classify``. Every command
+that reads many graphs runs one corpus loop, :func:`map_graphs`: each graph
+is parsed and handed to a per-graph function, and only that function's
+result is kept before the next file is read. :func:`fork_map` spreads the
+calls over one process per usable CPU, and the loop alone decides which
+graphs are skipped. For ``analyze`` and ``eval`` the function detects,
+couples once for every threshold and featurizes once per distinct
+suspicious union; their results come out stably sorted by app_id.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import signal
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -79,21 +81,45 @@ class Skip(NamedTuple):
     warning: str
 
 
-def _analyze_source(source: CallGraph | str | Path, catalog: SensitiveApiCatalog,
-                    threshold: float, seed: int, sweep: Sequence[float],
-                    report: bool) -> GraphAnalysis | Skip:
-    """Load ``source`` unless it is a graph already, then analyze it; invalid
-    input gives a :class:`Skip`, any other error is a fault and propagates."""
-    graph = source
-    if not isinstance(graph, CallGraph):
+def map_graphs(
+    fn: Callable[[CallGraph], R],
+    sources: Iterable[CallGraph | str | Path],
+    catalog: SensitiveApiCatalog | None = None,
+) -> list[R]:
+    """``fn`` of each graph, or of each graph file named, through
+    :func:`fork_map`; results in source order.
+
+    Given file paths, each process loads its own share one file at a time,
+    so it holds one graph in memory. A file that cannot be read, or a graph
+    on which ``fn`` raises ``InputError``, is skipped with a warning, logged
+    here in source order after the run; the run fails only if no graph could
+    be read. Any other error is a fault and propagates.
+    """
+    def run(source: CallGraph | str | Path) -> R | Skip:
+        graph = source
+        if not isinstance(graph, CallGraph):
+            try:
+                graph = load_graph(source, catalog)
+            except InputError as exc:
+                return Skip(False, f"skipping {source}: {exc}")
         try:
-            graph = load_graph(source, catalog)
+            return fn(graph)
         except InputError as exc:
-            return Skip(False, f"skipping {source}: {exc}")
-    try:
-        return analyze_graph(graph, catalog, threshold, seed, sweep, report)
-    except InputError as exc:
-        return Skip(True, f"skipping graph {graph.app_id!r}: {exc}")
+            return Skip(True, f"skipping graph {graph.app_id!r}: {exc}")
+
+    sources = list(sources)
+    results: list[R] = []
+    read = 0
+    for outcome in fork_map(run, sources):
+        if isinstance(outcome, Skip):
+            logger.warning(outcome.warning)
+            read += outcome.read
+        else:
+            results.append(outcome)
+            read += 1
+    if not read:
+        raise InputError(f"no readable graph documents among {len(sources)} file(s)")
+    return results
 
 
 def analyze_corpus(
@@ -104,32 +130,12 @@ def analyze_corpus(
     sweep: Sequence[float] = (),
     reports: bool = True,
 ) -> list[GraphAnalysis]:
-    """Analyze graphs, or the graph files named, through :func:`fork_map`;
-    results stably sorted by app_id.
-
-    Given file paths, each process loads its own share one file at a time,
-    so it holds one graph in memory. A file that cannot be read, or a graph
-    with invalid input, is skipped with a warning, logged here in source
-    order after the run; the run fails only if no graph could be read. Any
-    other error is a fault and propagates.
-    """
-    sources = list(sources)
-    outcomes = fork_map(
-        lambda source: _analyze_source(source, catalog, threshold, seed, sweep, reports),
-        sources)
-    results: list[GraphAnalysis] = []
-    read = 0
-    for outcome in outcomes:
-        if isinstance(outcome, Skip):
-            logger.warning(outcome.warning)
-            read += outcome.read
-        else:
-            results.append(outcome)
-            read += 1
-    if not read:
-        raise InputError(f"no readable graph documents among {len(sources)} file(s)")
-    results.sort(key=lambda a: a.app_id)
-    return results
+    """:func:`analyze_graph` of each source through :func:`map_graphs`,
+    stably sorted by app_id."""
+    return sorted(
+        map_graphs(lambda g: analyze_graph(g, catalog, threshold, seed, sweep, reports),
+                   sources, catalog),
+        key=lambda a: a.app_id)
 
 
 def graph_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -145,33 +151,11 @@ def graph_files(paths: Iterable[str | Path]) -> list[Path]:
     return files
 
 
-def read_graphs(
-    paths: Iterable[str | Path], catalog: SensitiveApiCatalog | None = None
-) -> Iterator[CallGraph]:
-    """Parse the documents of :func:`graph_files` lazily, in order.
-    Unreadable or malformed documents are logged and skipped; reading fails
-    at the end only if nothing could be read.
-    """
-    files = graph_files(paths)
-    read = 0
-    for path in files:
-        try:
-            graph = load_graph(path, catalog)
-        except InputError as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            continue
-        read += 1
-        yield graph
-        del graph  # not kept alive while the next one loads
-    if not read:
-        raise InputError(f"no readable graph documents among {len(files)} file(s)")
-
-
 def load_corpus(
     paths: Iterable[str | Path], catalog: SensitiveApiCatalog | None = None
 ) -> list[CallGraph]:
-    """Every graph :func:`read_graphs` yields, in memory, sorted by app_id."""
-    return sorted(read_graphs(paths, catalog), key=lambda g: g.app_id)
+    """Every readable graph of :func:`graph_files`, in memory, sorted by app_id."""
+    return sorted(map_graphs(lambda g: g, graph_files(paths), catalog), key=lambda g: g.app_id)
 
 
 def samples_by_threshold(analyses: Sequence[GraphAnalysis]) -> list[list[LabeledSample]]:

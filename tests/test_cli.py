@@ -224,6 +224,30 @@ class TestCommunities:
         assert out1.read_bytes() == out2.read_bytes()
         assert json.loads(out1.read_text())["graph_count"] == 6
 
+    def test_error_precedence(self, tmp_path, monkeypatch, capsys, caplog):
+        corpus = gen_corpus(tmp_path)
+        junk = tmp_path / "junk"
+        junk.mkdir()
+        (junk / "a.json").write_text("{")
+        (junk / "b.json").write_text("[]")
+        capsys.readouterr()
+        assert run("communities", str(junk), "--out", str(tmp_path / "c1.json")) == 2
+        assert "no readable graph documents among 2 file(s)" in capsys.readouterr().err
+        out = tmp_path / "c2.json"
+        caplog.clear()
+        assert run("communities", str(junk), str(corpus), "--out", str(out)) == 0
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"skipping {junk / 'a.json'}", f"skipping {junk / 'b.json'}"]
+        assert json.loads(out.read_text())["graph_count"] == 6
+
+        def detect(*args):
+            raise InputError("synthetic bad input")
+
+        monkeypatch.setattr(community, "detect_multilevel", detect)
+        capsys.readouterr()
+        assert run("communities", str(junk), str(corpus), "--out", str(tmp_path / "c3")) == 2
+        assert "every graph in the corpus failed to analyze" in capsys.readouterr().err
+
 
 class TestPartition:
     def test_report_fields(self, tmp_path):
@@ -689,7 +713,7 @@ class TestInternalErrorsNotDropped:
 
         monkeypatch.setattr(homophily, "at_thresholds", at_thresholds)
         with pytest.raises(KeyError):
-            pipeline.analyze_corpus(pipeline.read_graphs([corpus]), load_catalog(),
+            pipeline.analyze_corpus(pipeline.graph_files([corpus]), load_catalog(),
                                     sweep=(1.0, 3.0))
 
 

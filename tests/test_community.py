@@ -10,6 +10,7 @@ from homgraph.community import (
     compare_algorithms,
     detect_label_propagation,
     detect_multilevel,
+    detector_runs,
     modularity,
 )
 from homgraph.homophily import partition_suspicious
@@ -341,13 +342,13 @@ class TestLabelPropagation:
 
 class TestCompareAlgorithms:
     def test_single_edgeless_graph(self):
-        rows = compare_algorithms([make_graph(4, [])], seed=0)
+        rows = compare_algorithms(detector_runs(g, 0) for g in [make_graph(4, [])])
         assert [r.algorithm for r in rows] == ["multilevel", "label_propagation"]
         assert all(r.mean_q == 0.0 for r in rows)
 
     def test_clique_ring_corpus_q_range(self):
         rings = [triangle_ring(k) for k in range(4, 14)]
-        rows = compare_algorithms(rings, seed=0)
+        rows = compare_algorithms(detector_runs(g, 0) for g in rings)
         for row in rows:
             assert 0.3 <= row.mean_q <= 0.95
             assert row.mean_runtime_seconds >= 0.0
@@ -358,15 +359,16 @@ class TestCompareAlgorithms:
             node_count=412, community_count=16, planted_sensitive_community_size=12
         )
         corpus = generate.generate_corpus(spec, 0, 100, catalog)
-        rows = {r.algorithm: r for r in compare_algorithms([g for g, _ in corpus], seed=0)}
+        rows = compare_algorithms(detector_runs(g, 0) for g, _ in corpus)
+        rows = {r.algorithm: r for r in rows}
         assert rows["multilevel"].mean_q >= rows["label_propagation"].mean_q
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            compare_algorithms([], seed=0)
+            compare_algorithms(detector_runs(g, 0) for g in [])
 
     def test_row_shape(self):
-        rows = compare_algorithms([barbell()], seed=0)
+        rows = compare_algorithms(detector_runs(g, 0) for g in [barbell()])
         assert isinstance(rows[0], AlgorithmComparison)
         assert rows[0].graph_count == 1
 

@@ -2,13 +2,14 @@ from collections import Counter
 
 import pytest
 
+from homgraph import generate
 from homgraph.community import detect_multilevel
 from homgraph.generate import (
     InfeasibleSpecError,
     SyntheticSpec,
     _cross_edges,
+    corpus_members,
     generate_corpus,
-    iter_corpus,
 )
 from homgraph.homophily import (
     FILTERED_BENIGN,
@@ -70,10 +71,18 @@ class TestGenerateCorpus:
             assert _cross_edges(spec, truth.label) == (ends[1], counted)
             assert truth.planted_coupling == counted
 
-    def test_iter_corpus_checks_every_label_before_yielding(self, catalog):
+    def test_corpus_members_checks_every_label_before_generating(self, catalog,
+                                                                monkeypatch):
+        def generate_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(generate, "generate_graph", generate_graph)
         with pytest.raises(InfeasibleSpecError, match="20360 cross edges"):
-            iter_corpus(SyntheticSpec(planted_coupling_target=30), 1, 1, catalog)
-        assert list(iter_corpus(SyntheticSpec(planted_coupling_target=30), 1, 0, catalog))
+            generate_corpus(SyntheticSpec(planted_coupling_target=30), 1, 1, catalog)
+        with pytest.raises(InfeasibleSpecError, match="20360 cross edges"):
+            corpus_members(SyntheticSpec(planted_coupling_target=30), 1, 1, catalog)
+        assert corpus_members(SyntheticSpec(planted_coupling_target=30), 1, 0,
+                              catalog) == [(BENIGN, 0)]
 
     def test_labels_and_ids(self, small_corpus):
         for graph, truth in small_corpus:
