@@ -71,12 +71,12 @@ def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
     assignment = partition.assignment
     if assignment.keys() != graph.node_ids:
         raise ValueError(f"partition does not cover graph {graph.app_id!r} exactly")
-    if not graph.adjacency.edge_count:
+    if not graph.pair_count:
         raise ModularityUndefinedError(
             f"graph {graph.app_id!r} has no edges; modularity is undefined"
         )
     dense: dict[int, int] = {}
-    labels = [dense.setdefault(assignment[nid], len(dense)) for nid in graph.adjacency.ids]
+    labels = [dense.setdefault(assignment[nid], len(dense)) for nid in graph.ids]
     return _q(graph, labels)
 
 
@@ -85,17 +85,16 @@ def _q(graph: CallGraph, labels: list[int] | np.ndarray) -> float:
     on a graph with edges. Communities are summed in order of first
     appearance over the sorted undirected edges; every term is
     integer-valued, so only that order can touch the last bit."""
-    adjacency = graph.adjacency
     labels = np.asarray(labels)
-    upper = adjacency.rows < adjacency.indices
-    ends = labels[np.column_stack([adjacency.rows[upper], adjacency.indices[upper]]).ravel()]
+    upper = graph.rows < graph.indices
+    ends = labels[np.column_stack([graph.rows[upper], graph.indices[upper]]).ravel()]
     cu, cv = ends[0::2], ends[1::2]
     intra = np.bincount(cu[cu == cv], minlength=len(labels))
-    degree = np.bincount(labels[adjacency.rows], minlength=len(labels))
+    degree = np.bincount(labels[graph.rows], minlength=len(labels))
     first = np.full(len(labels), len(ends))
     np.minimum.at(first, ends, np.arange(len(ends)))
     order = np.argsort(first)[:np.count_nonzero(first < len(ends))]
-    m = adjacency.edge_count
+    m = graph.pair_count
     two_m = 2.0 * m
     q = 0.0
     for e_c, d_c in zip(intra[order].tolist(), degree[order].tolist()):
@@ -110,8 +109,8 @@ def _dense_partition(
     smallest member id (positions ascend with ids). A multilevel run's Q is
     its last pass's; other labels are scored here."""
     relabel = {label: k for k, label in enumerate(dict.fromkeys(labels))}
-    assignment = {nid: relabel[label] for nid, label in zip(graph.adjacency.ids, labels)}
-    q = q_trace[-1] if q_trace else (_q(graph, labels) if graph.adjacency.edge_count else 0.0)
+    assignment = {nid: relabel[label] for nid, label in zip(graph.ids, labels)}
+    q = q_trace[-1] if q_trace else (_q(graph, labels) if graph.pair_count else 0.0)
     return CommunityPartition(assignment, len(relabel), q, q_trace)
 
 
@@ -125,15 +124,14 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     induces on ``graph``, as ``modularity`` scores it, so the last ``q_trace``
     entry is the partition's Q bit for bit.
     """
-    adjacency = graph.adjacency
-    if not adjacency.edge_count:
-        return _dense_partition(graph, list(range(len(adjacency.ids))))
+    n = graph.node_count
+    if not graph.pair_count:
+        return _dense_partition(graph, list(range(n)))
 
-    n = len(adjacency.ids)
     # Aggregated-graph state; weights are per unordered pair, self-loops once.
-    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in adjacency.neighbours()]
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbours()]
     self_loop = [0.0] * n
-    total_w = float(adjacency.edge_count)
+    total_w = float(graph.pair_count)
 
     membership = np.arange(n)  # original node index -> current community label
     rng = random.Random(seed)
@@ -258,7 +256,7 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     label); sweeps run in seed-permuted order until a fixpoint or
     ``MAX_LABEL_SWEEPS`` sweeps.
     """
-    neighbours = graph.adjacency.neighbours()
+    neighbours = graph.neighbours()
     labels = list(range(len(neighbours)))  # by position: the smallest label is the smallest id
     order = labels[:]
     rng = random.Random(seed)

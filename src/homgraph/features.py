@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .homophily import PartitionOutcome
-from .model import Adjacency, CallGraph, SensitiveApiCatalog, matching_entries
+from .model import CallGraph, SensitiveApiCatalog, matching_entries
 
 TRIAD_NAMES = (
     "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -91,8 +91,7 @@ def triad_census(
     follow from degrees (Moody 1998) once the triangles are known, and only
     the triangles are listed.
     """
-    adjacency = subgraph.adjacency
-    n = len(adjacency.ids)
+    n = subgraph.node_count
     hits = ([matching_entries(name, catalog) for name in subgraph.names]  # per position
             if catalog is not None else [()] * n)
     # Position x matches hit_entries[hit_start[x]:][:hit_count[x]].
@@ -106,7 +105,7 @@ def triad_census(
     # An edge (u, v) leaves n - d_u - d_v third nodes adjacent to neither
     # end, plus one per triangle on it. No sum exceeds n * 2E, so int64 is
     # exact.
-    a, b, m = (np.bincount(adjacency.rows[adjacency.dyads == code], minlength=n)
+    a, b, m = (np.bincount(subgraph.rows[subgraph.dyads == code], minlength=n)
                for code in (1, 2, 3))
     d = a + b + m
     totals = dict.fromkeys(TRIAD_NAMES, 0)
@@ -118,12 +117,13 @@ def triad_census(
     # its nodes matches.
     closed = np.zeros(64, np.int64)
     entry_closed = np.zeros((width, 64), np.int64)
-    for uv, uw, vw in _triangles(adjacency, d):
-        code = adjacency.dyads[uv] | adjacency.dyads[uw] << 2 | adjacency.dyads[vw] << 4
+    dyads = subgraph.dyads
+    for uv, uw, vw in _triangles(subgraph, d):
+        code = dyads[uv] | dyads[uw] << 2 | dyads[vw] << 4
         closed += np.bincount(code, minlength=64)
         if width:  # corners: every triangle's u, then its v, then its w
-            corners = np.concatenate([adjacency.rows[uv], adjacency.indices[uv],
-                                      adjacency.indices[uw]])
+            corners = np.concatenate([subgraph.rows[uv], subgraph.indices[uv],
+                                      subgraph.indices[uw]])
             corner, at = _slices(hit_start[corners], hit_count[corners])
             # Each (triangle, entry) pair once, even when two corners match.
             pairs = np.sort(corner % len(code) * width + hit_entries[at])
@@ -137,7 +137,7 @@ def triad_census(
 
     sensitive: dict[tuple[int, str], int] = {}
     members = np.sort(hit_entries * n + np.repeat(np.arange(n), hit_count))
-    wedges = _entry_wedges(adjacency, (a, b, m), members, width).tolist()
+    wedges = _entry_wedges(subgraph, (a, b, m), members, width).tolist()
     for api in matched:
         counts = dict.fromkeys(TRIAD_NAMES, 0)
         counts.update(zip(_WEDGE_TYPES, wedges[api]))
@@ -152,7 +152,7 @@ def triad_census(
     )
 
 
-def _triangles(adjacency: Adjacency, degree: np.ndarray):
+def _triangles(graph: CallGraph, degree: np.ndarray):
     """Yield each triangle once, as the index entries (u, v), (u, w) and
     (v, w), in arrays per chunk of ``_WEDGE_CHUNK`` wedges.
 
@@ -162,22 +162,22 @@ def _triangles(adjacency: Adjacency, degree: np.ndarray):
     has more than sqrt(2E) forward neighbours, so there are O(E^1.5) wedges
     (Schank & Wagner 2005; Latapy 2008).
     """
-    n = len(adjacency.ids)
+    n = graph.node_count
+    rows, indices = graph.rows, graph.indices
     rank = np.empty(n, np.int64)
     rank[np.argsort(degree, kind="stable")] = np.arange(n)
-    forward = np.flatnonzero(rank[adjacency.rows] < rank[adjacency.indices])
+    forward = np.flatnonzero(rank[rows] < rank[indices])
     # A row's forward entries lie together; each is the second arm of a
     # wedge with every one before it, so second arm w has its wedges up to
     # ends[w] and first arm forward[wedge - ends[w] + w].
-    ends = np.cumsum(np.arange(len(forward)) - np.searchsorted(adjacency.rows[forward],
-                                                               adjacency.rows[forward]))
+    ends = np.cumsum(np.arange(len(forward)) - np.searchsorted(rows[forward], rows[forward]))
     total = int(ends[-1]) if len(ends) else 0
-    keys = adjacency.rows * n + adjacency.indices
+    keys = rows * n + indices
     for start in range(0, total, _WEDGE_CHUNK):
         wedge = np.arange(start, min(start + _WEDGE_CHUNK, total))
         w = np.searchsorted(ends, wedge, side="right")
         uv, uw = forward[wedge - ends[w] + w], forward[w]
-        wanted = adjacency.indices[uv] * n + adjacency.indices[uw]
+        wanted = indices[uv] * n + indices[uw]
         vw = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         found = keys[vw] == wanted
         yield uv[found], uw[found], vw[found]
@@ -208,22 +208,22 @@ def _close(counts: dict[str, int], closed: np.ndarray) -> None:
             counts[_CODE_TO_NAME[code & ~dyad]] -= count
 
 
-def _entry_wedges(adjacency: Adjacency, degrees: tuple, members: np.ndarray,
+def _entry_wedges(graph: CallGraph, degrees: tuple, members: np.ndarray,
                   width: int) -> np.ndarray:
     """Per entry, by type in ``_WEDGE_TYPES`` order, the wedges holding one
     of its nodes: all wedges centred on them, and at each other neighbour y
     those that lose an arm when y's arms into them go. ``members`` holds the
     keys entry * n + position, ascending; their CSR slices are the arms, so
     this costs O(sum of the members' degrees)."""
-    n = len(adjacency.ids)
+    n = graph.node_count
     a, b, m = degrees
     entry, x = np.divmod(members, n)
-    owner, arm = _slices(adjacency.indptr[x], np.diff(adjacency.indptr)[x])
-    ends = entry[owner] * n + adjacency.indices[arm]
+    owner, arm = _slices(graph.indptr[x], np.diff(graph.indptr)[x])
+    ends = entry[owner] * n + graph.indices[arm]
     outside = ~np.isin(ends, members)
     far, group = np.unique(ends[outside], return_inverse=True)
     # x -> y is in-only at y: arms by dyad code from the far end.
-    _, ins, outs, mutual = np.bincount(group * 4 + adjacency.dyads[arm[outside]],
+    _, ins, outs, mutual = np.bincount(group * 4 + graph.dyads[arm[outside]],
                                        minlength=4 * len(far)).reshape(-1, 4).T
     y = far % n
     counts = np.zeros((width, len(_WEDGE_TYPES)), np.int64)

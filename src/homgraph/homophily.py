@@ -140,13 +140,12 @@ def _edge_counts(
     Returns per-group ``e_a`` and ``s`` lists and the shared ``e_b``. Edges
     joining two groups, or touching a node in none of the parts, are ignored.
     """
-    adjacency = graph.adjacency
-    label = np.full(len(adjacency.ids), -2)  # -1 for rest, -2 for neither
-    label[[adjacency.position[v] for v in rest]] = -1
+    label = np.full(graph.node_count, -2)  # -1 for rest, -2 for neither
+    label[[graph.position[v] for v in rest]] = -1
     for k, members in enumerate(groups):
-        label[[adjacency.position[v] for v in members]] = k
-    upper = adjacency.rows < adjacency.indices
-    a, b = label[adjacency.rows[upper]], label[adjacency.indices[upper]]
+        label[[graph.position[v] for v in members]] = k
+    upper = graph.rows < graph.indices
+    a, b = label[graph.rows[upper]], label[graph.indices[upper]]
     same = a[a == b]
     # The group end of each edge with exactly one end in part -1.
     cross = np.where(a == -1, b, a)[(a == -1) != (b == -1)]
@@ -231,16 +230,15 @@ def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:
     """Sensitive nodes plus their callers within ``hops`` reverse-edge steps."""
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    adjacency = graph.adjacency
     part = graph.sensitive
-    called = (adjacency.dyads & 2) != 0  # entry (i, j) has the code-2 bit: j calls i
+    called = (graph.dyads & 2) != 0  # entry (i, j) has the code-2 bit: j calls i
     for _ in range(hops):
         grown = part.copy()
-        grown[adjacency.indices[called & part[adjacency.rows]]] = True
+        grown[graph.indices[called & part[graph.rows]]] = True
         if (grown == part).all():
             break
         part = grown
-    return frozenset(adjacency.ids[i] for i in np.flatnonzero(part).tolist())
+    return frozenset(graph.ids[i] for i in np.flatnonzero(part).tolist())
 
 
 def proportion_category(proportion: float) -> str:

@@ -5,12 +5,13 @@ calls or user-defined methods) and whose edges are caller -> callee
 relations. Graphs are normalized when they are made: self-loops dropped,
 duplicate directed edges collapsed, nodes ordered by ascending id.
 
-A graph is stored as arrays over node positions (ascending id): names,
-flags and one index, ``CallGraph.adjacency``, built once per graph: a CSR of
-the simple undirected projection with each pair's direction as a dyad code.
-Every analysis stage reads the index; ``nodes`` and ``edges`` are read-only
-views. ``parse_graph`` checks in bulk passes, and only when one fails does a
-locating loop name the first bad ``nodes[i]`` or ``edges[i]``.
+A ``CallGraph`` is arrays over node positions (ascending id): ids, names,
+flags and the index, built once per graph: a CSR of the simple undirected
+projection with each pair's direction as a dyad code. ``edge_count`` counts
+directed arcs, ``pair_count`` undirected pairs. Every analysis stage reads
+these arrays; ``nodes`` and ``edges`` are read-only views. ``parse_graph``
+checks in bulk passes, and only when one fails does a locating loop name
+the first bad ``nodes[i]`` or ``edges[i]``.
 
 Wire format: one JSON document per app with fields ``app_id`` (string),
 ``label`` (optional, "benign" | "malware"), ``nodes`` (array of
@@ -66,17 +67,28 @@ class FunctionNode:
 
 @dataclass(frozen=True, eq=False)
 class CallGraph:
-    """Immutable, normalized directed call graph.
+    """Immutable, normalized directed call graph, as arrays over positions.
 
-    Position ``i`` holds node ``ids[i]``, named ``names[i]`` and flagged
-    ``sensitive[i]``. ``replace`` of names or flags keeps the index. Induced
-    subgraphs may be empty; graphs read from the wire format have a node.
+    Position ``i`` holds node ``ids[i]`` (ascending), named ``names[i]`` and
+    flagged ``sensitive[i]``; ``position`` maps each id back. Only positions
+    enter the index, so ids of any size work. The index is a CSR of the
+    simple undirected projection: position ``i``'s neighbours are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` holds each
+    entry's position, so every pair appears once from each end. ``dyads``
+    codes entry (i, j): 1 = only i -> j, 2 = only j -> i, 3 = mutual.
+    ``replace`` of names or flags shares the index arrays. Induced subgraphs
+    may be empty; graphs read from the wire format have a node.
     """
 
     app_id: str
+    ids: tuple[int, ...]
+    position: dict[int, int] = field(repr=False)
     names: tuple[str, ...]
     sensitive: np.ndarray  # bool, one per position
-    adjacency: Adjacency = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    dyads: np.ndarray = field(repr=False)
     ground_truth: str | None = None
 
     @classmethod
@@ -99,18 +111,13 @@ class CallGraph:
         dyads[entry[:len(src)]] |= 1
         dyads[entry[len(src):]] |= 2
         rows, indices = np.divmod(keys, max(n, 1))
-        index = Adjacency(ids, position, np.searchsorted(rows, np.arange(n + 1)),
-                          indices, rows, dyads)
-        return cls(app_id, tuple(map(names.__getitem__, order)),
-                   np.fromiter(map(sensitive.__getitem__, order), bool, n), index, ground_truth)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return self.adjacency.ids
+        return cls(app_id, ids, position, tuple(map(names.__getitem__, order)),
+                   np.fromiter(map(sensitive.__getitem__, order), bool, n),
+                   np.searchsorted(rows, np.arange(n + 1)), indices, rows, dyads, ground_truth)
 
     @property
     def node_ids(self) -> KeysView[int]:
-        return self.adjacency.position.keys()
+        return self.position.keys()
 
     @property
     def node_count(self) -> int:
@@ -118,13 +125,25 @@ class CallGraph:
 
     @property
     def edge_count(self) -> int:
+        """Directed arcs."""
         return len(self.arcs)
+
+    @property
+    def pair_count(self) -> int:
+        """Edges of the undirected projection."""
+        return len(self.indices) // 2
+
+    def neighbours(self) -> list[list[int]]:
+        """Each position's neighbour positions, ascending."""
+        flat = self.indices.tolist()
+        ptr = self.indptr.tolist()
+        return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
 
     @cached_property
     def arcs(self) -> np.ndarray:
         """(caller, callee) position rows, sorted: the entries with bit 1."""
-        calls = (self.adjacency.dyads & 1) != 0
-        return np.column_stack([self.adjacency.rows[calls], self.adjacency.indices[calls]])
+        calls = (self.dyads & 1) != 0
+        return np.column_stack([self.rows[calls], self.indices[calls]])
 
     @cached_property
     def sensitive_ids(self) -> frozenset[int]:
@@ -146,36 +165,6 @@ class CallGraph:
             == (other.app_id, other.ground_truth, other.ids, other.names)
             and np.array_equal(self.sensitive, other.sensitive)
             and np.array_equal(self.arcs, other.arcs))
-
-
-@dataclass(frozen=True, eq=False)
-class Adjacency:
-    """The simple undirected projection of a call graph as a CSR.
-
-    Nodes get positions in ascending id order; only positions enter the
-    arrays, so ids of any size work. Position ``i``'s neighbours are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` holds each
-    entry's position, so every pair appears once from each end. ``dyads``
-    codes entry (i, j): 1 = only i -> j, 2 = only j -> i, 3 = mutual.
-    """
-
-    ids: tuple[int, ...]
-    position: dict[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-    dyads: np.ndarray
-
-    @property
-    def edge_count(self) -> int:
-        """Edges of the undirected projection."""
-        return len(self.indices) // 2
-
-    def neighbours(self) -> list[list[int]]:
-        """Each position's neighbour positions, ascending."""
-        flat = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -280,21 +269,20 @@ def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
 def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
     """Subgraph on ``node_ids`` keeping exactly the edges internal to the set:
     the parent's index entries between kept positions, renumbered."""
-    adjacency = graph.adjacency
     keep = set(node_ids)
-    if unknown := keep - adjacency.position.keys():
+    if unknown := keep - graph.position.keys():
         raise ValueError(f"node ids not in graph: {sorted(unknown)[:5]}")
-    kept = [nid in keep for nid in adjacency.ids]
+    kept = [nid in keep for nid in graph.ids]
     mask = np.array(kept, bool)
-    ids = tuple(compress(adjacency.ids, kept))
+    ids = tuple(compress(graph.ids, kept))
     renumber = np.cumsum(mask) - 1
-    inside = mask[adjacency.rows] & mask[adjacency.indices]
-    rows = renumber[adjacency.rows[inside]]
-    index = Adjacency(ids, dict(zip(ids, range(len(ids)))),
-                      np.searchsorted(rows, np.arange(len(ids) + 1)),
-                      renumber[adjacency.indices[inside]], rows, adjacency.dyads[inside])
-    return replace(graph, names=tuple(compress(graph.names, kept)),
-                   sensitive=graph.sensitive[mask], adjacency=index)
+    inside = mask[graph.rows] & mask[graph.indices]
+    rows = renumber[graph.rows[inside]]
+    return CallGraph(graph.app_id, ids, dict(zip(ids, range(len(ids)))),
+                     tuple(compress(graph.names, kept)), graph.sensitive[mask],
+                     np.searchsorted(rows, np.arange(len(ids) + 1)),
+                     renumber[graph.indices[inside]], rows, graph.dyads[inside],
+                     graph.ground_truth)
 
 
 def parse_graph(data: str | bytes, source: str = "<memory>") -> CallGraph:

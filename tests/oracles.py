@@ -10,7 +10,7 @@ from every edge of the level, and a second census classifies every
 connected triple one at a time with the production code table. Graphs are
 normalized in plain passes over nodes and edges rather than while parsing,
 and every neighbour set is built here from ``graph.edges``, never read from
-production's adjacency index.
+production's CSR index arrays.
 """
 
 from __future__ import annotations

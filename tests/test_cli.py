@@ -56,6 +56,14 @@ class TestGen:
                    "--planted-size", "20", "--out", str(tmp_path / "x"))
         assert code == 2
         assert "error" in capsys.readouterr().err
+        # A catalog entry inside a generated name would flag a node the
+        # generator did not plant.
+        catalog = tmp_path / "cat.txt"
+        catalog.write_text("\n".join(load_catalog().entries[:8] + ("Module0",)) + "\n")
+        out = tmp_path / "y"
+        assert run("gen", *GEN_FLAGS, "--catalog", str(catalog), "--out", str(out)) == 2
+        assert "catalog entry collides with generated name" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, field", [
         ("--coupling-target", "planted_coupling_target"),
@@ -116,6 +124,14 @@ class TestUsageErrors:
             assert (f"--threshold must be finite and positive, got {float(bad)}"
                     in capsys.readouterr().err)
         assert run("covertness", str(graph), "--hops", "-2") == 2
+
+    def test_bad_graph_node_is_located(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"app_id": "a", "nodes": [
+            {"id": 0, "name": "f"}, {"id": 1, "name": "g", "sensitive": "yes"}]}))
+        assert run("partition", str(path)) == 2
+        assert (f"homgraph: error: {path}: nodes[1]: 'sensitive' must be a boolean"
+                in capsys.readouterr().err)
 
     def test_internal_error_exit_3(self, tmp_path, monkeypatch):
         corpus = gen_corpus(tmp_path)
@@ -788,6 +804,36 @@ class TestUndecodableInput:
         capsys.readouterr()
         assert run("eval", "--features", str(bad), "--folds", "2") == 2
         assert f"cannot read features file {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.fixture
+    def features_text(self, tmp_path):
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(gen_corpus(tmp_path)), "--out", str(analysis)) == 0
+        return (analysis / "features.csv").read_text()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [["id", *rows[0][1:]], *rows[1:]], "{}: not a feature file (bad header)"),
+        (lambda rows: [*rows[:2], rows[2][:-1], *rows[3:]], "{}:3: expected {} columns"),
+        (lambda rows: [*rows[:3], [rows[3][0], "grayware", *rows[3][2:]], *rows[4:]],
+         "has label 'grayware'"),
+    ], ids=["header", "columns", "label"])
+    def test_malformed_features_exit_2(self, tmp_path, capsys, features_text, edit, message):
+        rows = [line.split(",") for line in features_text.splitlines()]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(map(",".join, edit(rows))) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--features", str(bad), "--folds", "2") == 2
+        assert message.format(bad, len(rows[0])) in capsys.readouterr().err
+
+    def test_unlabeled_feature_row_is_left_out(self, tmp_path, caplog, features_text):
+        rows = [line.split(",") for line in features_text.splitlines()]
+        rows[2][1] = ""
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("\n".join(map(",".join, rows)) + "\n")
+        assert [s.app_id for s in read_features_csv(unlabeled)] == [
+            row[0] for k, row in enumerate(rows[1:], start=1) if k != 2]
+        assert f"{unlabeled}:3: unlabeled sample {rows[2][0]!r} excluded" in caplog.text
+        assert run("eval", "--features", str(unlabeled), "--folds", "2") == 0
 
     def test_oversized_csv_field_exit_2(self, tmp_path, capsys):
         big = tmp_path / "big.csv"

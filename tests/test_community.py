@@ -254,7 +254,7 @@ class TestPassQ:
             undirected.add_nodes_from(g.node_ids)
             undirected.add_edges_from(undirected_edges(g))
             for q, membership, level_q in zip(part.q_trace, memberships, level_qs):
-                induced = partition_of(g, dict(zip(g.adjacency.ids, membership)))
+                induced = partition_of(g, dict(zip(g.ids, membership)))
                 assert q == modularity(g, induced)
                 assert q == pytest.approx(level_q, abs=1e-12)
                 expected = nx.community.modularity(undirected, induced.communities())

@@ -68,6 +68,8 @@ class TestCoupling:
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="non-empty"):
             coupling(g, set(), {1})
+        with pytest.raises(ValueError, match="non-negative"):
+            coupling_from_counts(2, 2, 1, -1, 0)
 
     def test_overlap_rejected(self):
         g = make_graph(3, [(0, 1)])
@@ -258,6 +260,11 @@ class TestPartitionSuspicious:
             assert not (union & sc.nodes)
             union |= sc.nodes
         assert union == set(g.node_ids)
+        dropped = dict(partition.assignment)
+        dropped.popitem()
+        with pytest.raises(ValueError, match="does not cover"):
+            partition_suspicious(g, CommunityPartition(dropped, partition.community_count,
+                                                       0.0), threshold=3.0)
 
     def test_threshold_must_be_positive(self):
         g, partition, _ = seven_community_graph()

@@ -114,6 +114,20 @@ class TestParse:
         with pytest.raises(GraphFormatError, match=r"nodes\[1\]: 'id' must be"):
             parse_graph(doc(nodes=nodes, edges=[]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"nodes": [{"id": 0, "name": "a"}, [1, "b"]]}, r"nodes\[1\]: must be an object"),
+        ({"nodes": [{"id": 0, "name": "a"}, {"id": 1, "name": 7}]},
+         r"nodes\[1\]: 'name' must be a string"),
+        ({"nodes": [{"id": 0, "name": "a"}, {"id": 1, "name": "b", "sensitive": 1}]},
+         r"nodes\[1\]: 'sensitive' must be a boolean"),
+        ({"app_id": ""}, r"'app_id' must be a non-empty string"),
+        ({"app_id": 5}, r"'app_id' must be a non-empty string"),
+        ({"edges": {"0": 1}}, r"'edges' must be an array"),
+    ])
+    def test_document_errors_are_located(self, overrides, message):
+        with pytest.raises(GraphFormatError, match=r"^src\.json: " + message):
+            parse_graph(doc(**{"edges": [], **overrides}), source="src.json")
+
     def test_equals_normalize_then_apply_catalog(self, tmp_path):
         # parse_graph builds the normalized graph with bulk checks, keeping
         # the document's flags, and load_graph then flags from the catalog;
@@ -354,10 +368,9 @@ class TestSubgraph:
                                            [v.name for v in sub.nodes],
                                            [v.sensitive for v in sub.nodes], sub.edges)
             assert sub == rebuilt
-            mine, fresh = sub.adjacency, rebuilt.adjacency
-            assert mine.ids == fresh.ids and mine.position == fresh.position
+            assert sub.ids == rebuilt.ids and sub.position == rebuilt.position
             for name in ("indptr", "indices", "rows", "dyads"):
-                a, b = getattr(mine, name), getattr(fresh, name)
+                a, b = getattr(sub, name), getattr(rebuilt, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_unknown_ids_rejected(self):
@@ -372,17 +385,20 @@ class TestSubgraph:
 
     def test_apply_catalog_keeps_the_index(self):
         # Flagging replaces only the flags: the graph is indexed once per
-        # load, and the flagged graph shares its parent's index and names.
+        # load, and the flagged graph shares its parent's index arrays and
+        # names.
         catalog = SensitiveApiCatalog(entries=("keep.Api",))
         names = {0: "keep.Api.call", 1: "other.X.y", 2: "keep.Api.run", 3: "z"}
         g = make_graph(4, [(0, 1), (2, 3)], sensitive=[0, 3], names=names)
         flagged = apply_catalog(g, catalog)
         assert flagged == flag_from_catalog(g, catalog)
-        assert flagged.adjacency is g.adjacency and flagged.names is g.names
+        for name in ("indptr", "indices", "rows", "dyads"):
+            assert getattr(flagged, name) is getattr(g, name), name
+        assert flagged.names is g.names
         assert g.sensitive.tolist() == [True, False, False, True]
 
 
-class TestAdjacency:
+class TestIndex:
     def test_agrees_with_networkx(self):
         # Raw edge lists keep duplicates, self-loops and both directions of a
         # pair, so the index must merge them; ids around and above 2**63
@@ -400,25 +416,23 @@ class TestAdjacency:
             arc = st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids))
             edges = data.draw(st.lists(arc, max_size=40))
             names = [f"f{i}" for i in node_ids]
-            adjacency = CallGraph.from_edges("h", node_ids, names, [False] * len(names),
-                                             edges).adjacency
+            g = CallGraph.from_edges("h", node_ids, names, [False] * len(names), edges)
             digraph = nx.DiGraph()
             digraph.add_nodes_from(node_ids)
             digraph.add_edges_from((u, v) for u, v in edges if u != v)
             undirected = digraph.to_undirected()
 
-            ids_ = adjacency.ids
+            ids_ = g.ids
             assert ids_ == tuple(sorted(node_ids))
-            assert adjacency.position == {nid: i for i, nid in enumerate(ids_)}
-            assert adjacency.edge_count == undirected.number_of_edges()
-            neighbours = adjacency.neighbours()
+            assert g.position == {nid: i for i, nid in enumerate(ids_)}
+            assert g.pair_count == undirected.number_of_edges()
+            assert g.edge_count == digraph.number_of_edges()
+            neighbours = g.neighbours()
             assert [[ids_[j] for j in nbrs] for nbrs in neighbours] == [
                 sorted(undirected[u]) for u in ids_
             ]
-            assert adjacency.rows.tolist() == [i for i, nbrs in enumerate(neighbours)
-                                              for _ in nbrs]
-            entries = zip(adjacency.rows.tolist(), adjacency.indices.tolist(),
-                          adjacency.dyads.tolist())
+            assert g.rows.tolist() == [i for i, nbrs in enumerate(neighbours) for _ in nbrs]
+            entries = zip(g.rows.tolist(), g.indices.tolist(), g.dyads.tolist())
             for i, j, code in entries:
                 u, v = ids_[i], ids_[j]
                 assert code == digraph.has_edge(u, v) + 2 * digraph.has_edge(v, u)
@@ -430,8 +444,7 @@ class TestAdjacency:
         g = parse_graph(doc(nodes=[{"id": big, "name": "a"}, {"id": 3, "name": "b"},
                                    {"id": 9, "name": "c"}],
                             edges=[[big, 3], [3, big], [9, 3], [9, 3], [9, 9]]))
-        adjacency = g.adjacency
-        assert adjacency.ids == (3, 9, big)
-        assert adjacency.neighbours() == [[1, 2], [0], [0]]
-        assert adjacency.dyads.tolist() == [2, 3, 1, 3]
-        assert adjacency.indptr.tolist() == [0, 2, 3, 4]
+        assert g.ids == (3, 9, big)
+        assert g.neighbours() == [[1, 2], [0], [0]]
+        assert g.dyads.tolist() == [2, 3, 1, 3]
+        assert g.indptr.tolist() == [0, 2, 3, 4]
