@@ -2,7 +2,7 @@
 
 Both detectors run on the simple undirected projection of the directed
 call graph; edge direction is preserved elsewhere for triad analysis.
-Runs are deterministic given (graph, seed): sweep order is a seeded
+Runs are deterministic given (graph, seed): visiting order is a seeded
 permutation and every tie breaks toward the smallest candidate id.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -117,12 +118,12 @@ def _dense_partition(
 def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     """Louvain-style two-phase modularity optimization.
 
-    Alternates local moving (seed-permuted sweep order, ties to the smallest
-    community id, only strictly improving moves, nodes with unchanged inputs
-    skipped) with graph aggregation until a pass improves Q by at most
-    ``Q_IMPROVEMENT_TOL``. Each pass is scored by ``_q`` on the partition it
-    induces on ``graph``, as ``modularity`` scores it, so the last ``q_trace``
-    entry is the partition's Q bit for bit.
+    Alternates local moving (a node queue in seed-permuted order, only
+    strictly improving moves, ties to the smallest community id, a mover's
+    neighbours requeued) with graph aggregation until a pass improves Q by
+    at most ``Q_IMPROVEMENT_TOL``. Each pass is scored by ``_q`` on the
+    partition it induces on ``graph``, as ``modularity`` scores it, so the
+    last ``q_trace`` entry is the partition's Q bit for bit.
     """
     n = graph.node_count
     if not graph.pair_count:
@@ -161,14 +162,12 @@ def _local_moving(
 ) -> list[int]:
     """One Louvain local-moving phase; returns the community label per node.
 
-    Sweeps visit every node in one seeded order until a sweep moves none,
-    but a node is re-evaluated only if the total of its own community or of
-    a neighbour's community has changed since its last evaluation. A move
-    stamps both communities it touches, so a neighbour that moved, or the
-    node itself, is always seen. Otherwise the node would rebuild the same
-    ``weights`` and stay: weights are edge counts, so the totals are
-    integer-valued and staying is an exact no-op. The labels therefore equal
-    those of a full re-evaluation on every sweep.
+    Nodes are evaluated from a FIFO queue that starts with every node in one
+    seeded order (Traag, Waltman & van Eck 2019). A node moves only on a
+    strict improvement over staying, ties going to the smallest community
+    id. After a move, every neighbour not already queued joins the back of
+    the queue, whatever its community; the phase ends when the queue is
+    empty.
     """
     n = len(adj)
     strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
@@ -177,49 +176,40 @@ def _local_moving(
     order = list(range(n))
     rng.shuffle(order)
     two_w = 2.0 * total_w
-    clock = 0  # number of moves so far
-    changed = [0] * n  # community -> clock of its last total change
-    seen = [-1] * n  # node -> clock at its last evaluation
+    queue = deque(order)
+    queued = [True] * n
 
-    moved = True
-    while moved:
-        moved = False
-        for i in order:
-            last = seen[i]
-            old = comm[i]
-            if changed[old] <= last:
-                for j in adj[i]:
-                    if changed[comm[j]] > last:
-                        break
-                else:
-                    continue
-            seen[i] = clock
-            k_i = strength[i]
-            weights: dict[int, float] = {}
-            for j, w in adj[i].items():
-                c = comm[j]
-                weights[c] = weights.get(c, 0.0) + w
-            comm_tot[old] -= k_i
-            stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
-            # Moves need a strict improvement over staying; equal-gain
-            # candidate communities tie-break to the smallest id.
-            best_comm = old
-            best_gain = stay_gain
-            for c, w in weights.items():
-                if c == old:
-                    continue
-                gain = w - comm_tot[c] * k_i / two_w
-                if gain > best_gain + 1e-12 or (
-                    best_comm != old and abs(gain - best_gain) <= 1e-12 and c < best_comm
-                ):
-                    best_gain = gain
-                    best_comm = c
-            comm_tot[best_comm] += k_i
-            if best_comm != old:
-                clock += 1
-                changed[old] = changed[best_comm] = clock
-                comm[i] = best_comm
-                moved = True
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        k_i = strength[i]
+        old = comm[i]
+        weights: dict[int, float] = {}
+        for j, w in adj[i].items():
+            c = comm[j]
+            weights[c] = weights.get(c, 0.0) + w
+        comm_tot[old] -= k_i
+        stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
+        # Moves need a strict improvement over staying; equal-gain
+        # candidate communities tie-break to the smallest id.
+        best_comm = old
+        best_gain = stay_gain
+        for c, w in weights.items():
+            if c == old:
+                continue
+            gain = w - comm_tot[c] * k_i / two_w
+            if gain > best_gain + 1e-12 or (
+                best_comm != old and abs(gain - best_gain) <= 1e-12 and c < best_comm
+            ):
+                best_gain = gain
+                best_comm = c
+        comm_tot[best_comm] += k_i
+        if best_comm != old:
+            comm[i] = best_comm
+            for j in adj[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
     return comm
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: triads are classified
 from dyad structure instead of the code table, coupling is recomputed with
 exact fractions over an explicit edge scan, reachability uses a plain BFS,
-and Louvain local moving re-evaluates every node on every sweep. Everything
+and Louvain local moving re-evaluates every node on every sweep until none
+moves, the quality reference for production's node queue. Everything
 here is slow and only suitable for test sizes. Catalog hits are plain
 substring tests, a Louvain level's community totals and Q are recomputed
 from every edge of the level, and a second census classifies every
@@ -278,10 +279,13 @@ def full_sweep_local_moving(
     total_w: float,
     rng: random.Random,
 ) -> list[int]:
-    """Louvain local moving that re-evaluates every node on every sweep.
+    """Louvain local moving that re-evaluates every node on every sweep
+    until a sweep moves none (Blondel et al. 2008).
 
-    The reference for ``community._local_moving``: same seeded order, same
-    gains and tie-breaks, but no skipping of nodes whose inputs are unchanged.
+    The quality reference for the queue in ``community._local_moving``: the
+    same seeded order, drawn with the same single shuffle, and the same gains
+    and tie-breaks, but it ends only at a fixpoint where no node can
+    strictly improve.
     """
     n = len(adj)
     strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]

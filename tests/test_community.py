@@ -179,11 +179,29 @@ def copy_rng(rng):
     return twin
 
 
-class TestLocalMovingSkip:
-    """Skipping nodes with unchanged inputs must not change a single label."""
+def checked_level(local_moving, adj, self_loop, total_w, rng):
+    """Run ``local_moving`` on one level and check it against a twin run and
+    the exact routine: the same labels and rng state from a copied rng, one
+    shuffle drawn as the exact routine draws it, and no lower Q than the
+    singleton labelling."""
+    twin, reference_rng = copy_rng(rng), copy_rng(rng)
+    comm = local_moving(adj, self_loop, total_w, rng)
+    assert comm == local_moving(adj, self_loop, total_w, twin)
+    full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
+    assert rng.getstate() == twin.getstate() == reference_rng.getstate()
+    singletons = list(range(len(adj)))
+    assert weighted_q(adj, self_loop, comm, total_w) >= weighted_q(
+        adj, self_loop, singletons, total_w)
+    return comm
 
-    def test_equals_full_sweep_on_random_weighted_levels(self):
-        cases = aggregated = 0
+
+class TestLocalMovingQueue:
+    """The queue is deterministic given (level, rng state), draws the same
+    random numbers as the exact routine, and never ends below the singleton
+    labelling's Q."""
+
+    def test_random_weighted_levels(self):
+        cases = aggregated = levels_with_self_loops = 0
         for case in range(240):
             rng = random.Random(case)
             adj, self_loop = random_weighted_level(rng)
@@ -192,29 +210,25 @@ class TestLocalMovingSkip:
             if total_w == 0:
                 continue
             cases += 1
-            sweep_rng = random.Random(case)
+            level_rng = random.Random(case)
             while True:
-                reference_rng = copy_rng(sweep_rng)
-                comm = community._local_moving(adj, self_loop, total_w, sweep_rng)
-                assert comm == full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
-                assert sweep_rng.getstate() == reference_rng.getstate()
+                comm = checked_level(community._local_moving, adj, self_loop, total_w,
+                                     level_rng)
+                levels_with_self_loops += any(self_loop)
                 if len(set(comm)) == len(adj):
                     break
                 adj, self_loop, _ = community._aggregate(adj, self_loop, comm)
                 aggregated += 1
-        assert cases >= 200 and aggregated >= 200
+        assert cases >= 200 and aggregated >= 200 and levels_with_self_loops >= 100
 
-    def test_equals_full_sweep_inside_detect_multilevel(self, monkeypatch):
+    def test_inside_detect_multilevel(self, monkeypatch):
         production = community._local_moving
         levels_with_self_loops = 0
 
         def checked(adj, self_loop, total_w, rng):
             nonlocal levels_with_self_loops
-            reference_rng = copy_rng(rng)
-            comm = production(adj, self_loop, total_w, rng)
-            assert comm == full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
             levels_with_self_loops += any(self_loop)
-            return comm
+            return checked_level(production, adj, self_loop, total_w, rng)
 
         monkeypatch.setattr(community, "_local_moving", checked)
         rng = random.Random(31)
@@ -222,6 +236,68 @@ class TestLocalMovingSkip:
             g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
             detect_multilevel(g, seed=rng.randrange(1000))
         assert levels_with_self_loops >= 100
+
+
+DETECT_SEEDS = range(5)
+
+
+@pytest.fixture(scope="module")
+def generated_corpora():
+    """Two 20+20 generator corpora (generator seeds 0 and 1)."""
+    catalog = load_catalog()
+    return [[g for g, _ in generate.generate_corpus(generate.SyntheticSpec(seed=s), 20, 20,
+                                                    catalog)]
+            for s in (0, 1)]
+
+
+def partitions(corpus):
+    """``detect_multilevel`` on every graph of ``corpus``, per detect seed."""
+    return [[detect_multilevel(g, seed) for g in corpus] for seed in DETECT_SEEDS]
+
+
+@pytest.fixture(scope="module")
+def queue_partitions(generated_corpora):
+    return [partitions(corpus) for corpus in generated_corpora]
+
+
+def connected(members, neighbours):
+    """Whether ``members`` induce a connected subgraph, by depth-first search."""
+    start = min(members)
+    reached, stack = {start}, [start]
+    while stack:
+        for m in neighbours[stack.pop()] & members - reached:
+            reached.add(m)
+            stack.append(m)
+    return reached == members
+
+
+def mean_qs(per_seed):
+    return [sum(p.modularity_q for p in parts) / len(parts) for parts in per_seed]
+
+
+class TestQueueQuality:
+    """The queue against the exact routine, and Leiden's connectivity
+    guarantee, on generated corpora."""
+
+    def test_mean_q_within_exact_seed_spread(self, generated_corpora, queue_partitions,
+                                             monkeypatch):
+        monkeypatch.setattr(community, "_local_moving", full_sweep_local_moving)
+        for corpus, queue in zip(generated_corpora, queue_partitions):
+            queue_qs, exact_qs = mean_qs(queue), mean_qs(partitions(corpus))
+            spread = max(exact_qs) - min(exact_qs)
+            assert spread > 0
+            assert sum(queue_qs) / len(queue_qs) >= sum(exact_qs) / len(exact_qs) - spread
+
+    def test_every_community_connected(self, generated_corpora, queue_partitions):
+        checked = 0
+        for corpus, per_seed in zip(generated_corpora, queue_partitions):
+            neighbours = [undirected_neighbors(g) for g in corpus]
+            for parts in per_seed:
+                for g, nbrs, part in zip(corpus, neighbours, parts):
+                    for members in part.communities():
+                        assert connected(members, nbrs), (g.app_id, sorted(members))
+                        checked += 1
+        assert checked >= 1000
 
 
 class TestPassQ:

@@ -236,13 +236,13 @@ SHAPED_GOLDEN = {
     "analyze-dense/partitions.json":
         "b347371cf02cd75a59c70f3d510f99b94a446c6adef80325b2348749692a247a",
     "analyze/features.csv":
-        "fe496cd663dc3eed1694ed0b63974cfe4bd7824e6807eb3e4b8aa2983fc2f9ff",
+        "49fc9964fee5c47f7e61320b8fdf740f1b28737ac29994db2532718c38f628f9",
     "analyze/partitions.json":
-        "07b5d4eb0c0ff45cc51dab58584e885dc6a925318ec2ef892c9e48ee222cd498",
+        "4d2a7b0a759bafb86d0b75c6010de87f6cfd19cb0e244dbb3f7c8d7f0ac3c1a9",
     "catalog.txt":
         "46b802764a0f6e7e660d7f17d9f68021445d248231cd7858d1e0ce98e66878d3",
     "communities.json":
-        "1bb1d0eeeb86b88c36aa335c7d48860f71c2df4e4b43ff9130082a89b2e93e8b",
+        "7d9b8f944e72285abb0cc0f48e3de7c363f084ba5aa7e2a9a1069a9d2269d022",
     "covertness-0.json":
         "28fa7f4275259452ffa086b8a09a58c3e4bb15b2bb2d2a409c51e57bdc0dad09",
     "covertness-1.json":
@@ -268,9 +268,9 @@ SHAPED_GOLDEN = {
     "graphs/shaped-7.json":
         "d6716463d2b5db5602ba953e6c58d1443cbc59d824587924defeeb7a150ea26c",
     "partition-0.json":
-        "884aacd5d214fc54018e6f6d6592044095b27e40f7259aa44933406d533b2f9b",
+        "3f6bbef2d8bb513b02ac1d2b40d14726c0e0e49ad66e7bb7f9bd0214eb9e719c",
     "partition-1.json":
-        "f9dbddf02425823775b4640a573417e7b51b378f34ab63bbf3b4dc586dbc2070",
+        "56df01d0bf84ddb8932c211c2e877ed93b2a20317e3633f018e2fd549119c671",
 }
 
 
