@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
@@ -79,15 +80,20 @@ def _write_text(path: Path, text: str | Iterable[str]) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         _write_text(Path(out), text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=1) + "\n"
+def _json_text(payload) -> Iterator[str]:
+    """``json.dumps(payload, indent=1) + "\\n"``, yielded in pieces of at most
+    4,096 encoder chunks so the whole text is never held; NaN and inf raise."""
+    chunks = json.JSONEncoder(indent=1, allow_nan=False).iterencode(payload)
+    for first in chunks:
+        yield "".join(itertools.chain((first,), itertools.islice(chunks, 4095)))
+    yield "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +259,7 @@ def _feature_lines(analyses, catalog) -> Iterator[str]:
     writer = csv.writer(SimpleNamespace(write=str))  # writerow returns the line
     yield writer.writerow(["app_id", "label", *feature_names(catalog)])
     for a in analyses:
-        yield writer.writerow([a.app_id, a.label or "", *(repr(float(x)) for x in a.vectors[0])])
+        yield writer.writerow([a.app_id, a.label or "", *map(repr, a.vectors[0].tolist())])
 
 
 def read_features_csv(path: str | Path) -> list[LabeledSample]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -660,6 +661,77 @@ class TestStreaming:
         assert "every graph in the corpus failed to analyze" in capsys.readouterr().err
         assert run("eval", str(junk), str(corpus), "--out", str(tmp_path / "e")) == 2
         assert "need both classes, got []" in capsys.readouterr().err
+
+
+class TestJsonOutput:
+    # Every JSON output is cli._json_text, yielded in bounded pieces.
+    def test_pieces_join_to_json_dumps_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text(st.one_of(st.sampled_from("\n\u2028\x00\x1f\x7f\"\\é漢"),
+                                 st.characters()))
+        scalars = st.one_of(
+            st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**70),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 1e308]), text,
+        )
+        values = st.recursive(scalars, lambda kids: st.one_of(
+            st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(text, kids)),
+            max_leaves=30)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(values)
+        def same_text(value):
+            assert "".join(cli._json_text(value)) == json.dumps(value, indent=1) + "\n"
+
+        same_text()
+
+    def test_large_payload_spans_several_pieces(self):
+        payload = {"rows": [list(range(i, i + 50)) for i in range(400)]}
+        pieces = list(cli._json_text(payload))
+        assert len(pieces) >= 4
+        assert "".join(pieces) == json.dumps(payload, indent=1) + "\n"
+
+    def test_write_peak_memory_bounded(self, tmp_path):
+        # About 6 MB of text: a writer that joins the whole document first
+        # peaks far above the bound.
+        payload = [{"app_id": k, "values": list(range(20_000))} for k in range(32)]
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            cli._write_text(path, cli._json_text(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 5_000_000
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_non_finite_value_exit_3(self, tmp_path, monkeypatch, capsys, to_file):
+        corpus = gen_corpus(tmp_path)
+        graph = next(p for p in sorted(corpus.iterdir()) if p.name.startswith("malware"))
+        real = pipeline.partition_report
+
+        def partition_report(*args):
+            return {**real(*args), "q": math.nan}
+
+        monkeypatch.setattr(pipeline, "partition_report", partition_report)
+        out = tmp_path / "part.json"
+        capsys.readouterr()
+        assert run("partition", str(graph), *(["--out", str(out)] if to_file else [])) == 3
+        written = out.read_text() if to_file else capsys.readouterr().out
+        assert "NaN" not in written
+
+    def test_stdout_equals_out_file(self, eval_corpus, tmp_path, capsys):
+        graph = next(p for p in sorted(eval_corpus.iterdir()) if p.name.startswith("malware"))
+        for argv in (["partition", str(graph)], ["eval", str(eval_corpus), "--folds", "4"]):
+            out = tmp_path / f"{argv[0]}.json"
+            assert run(*argv, "--out", str(out)) == 0
+            capsys.readouterr()
+            assert run(*argv) == 0
+            printed = capsys.readouterr().out
+            assert printed.encode("utf-8") == out.read_bytes()
+            assert json.loads(printed)
 
 
 class TestCrossProcessDeterminism:
