@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import logging
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -90,10 +89,19 @@ def _emit(text: Iterable[str], out: str | None) -> None:
 def _json_text(payload) -> Iterator[str]:
     """``json.dumps(payload, indent=1) + "\\n"``, yielded in pieces of at most
     4,096 encoder chunks so the whole text is never held; NaN and inf raise."""
-    chunks = json.JSONEncoder(indent=1, allow_nan=False).iterencode(payload)
+    chunks = pipeline.JSON_ENCODER.iterencode(payload)
     for first in chunks:
         yield "".join(itertools.chain((first,), itertools.islice(chunks, 4095)))
     yield "\n"
+
+
+def _json_list_text(texts: Sequence[str]) -> Iterator[str]:
+    """``_json_text`` of the list whose items' JSON texts are ``texts``, one
+    piece per item. The encoder escapes newlines in strings, so each raw
+    ``"\\n"`` in a text is a line break, indented one level more here."""
+    for i, text in enumerate(texts):
+        yield ("[\n " if i == 0 else ",\n ") + text.replace("\n", "\n ")
+    yield "\n]\n" if texts else "[]\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +257,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
     _write_text(out_dir / "features.csv", _feature_lines(analyses, catalog))
-    _write_text(out_dir / "partitions.json", _json_text([a.report for a in analyses]))
+    _write_text(out_dir / "partitions.json", _json_list_text([a.report for a in analyses]))
     print(f"analyzed {len(analyses)} graphs into {out_dir}", file=sys.stderr)
     return EXIT_OK
 

@@ -15,6 +15,7 @@ suspicious union; their results come out stably sorted by app_id.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import pickle
@@ -36,16 +37,20 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: The encoder of every JSON output: one-space indent, NaN and inf raise.
+JSON_ENCODER = json.JSONEncoder(indent=1, allow_nan=False)
+
 
 @dataclass(frozen=True, eq=False)
 class GraphAnalysis:
     """What is kept of one graph: features at the configured threshold, then
-    at each sweep threshold, and the partition report unless left out."""
+    at each sweep threshold, and the partition report's JSON text (encoded by
+    :data:`JSON_ENCODER`) unless left out."""
 
     app_id: str
     label: str | None
     vectors: tuple[np.ndarray, ...]
-    report: dict | None
+    report: str | None
 
 
 def analyze_graph(
@@ -56,8 +61,8 @@ def analyze_graph(
     sweep: Sequence[float] = (),
     report: bool = True,
 ) -> GraphAnalysis:
-    """Multilevel detection, one coupling pass, and features at ``threshold``
-    and then at each ``sweep`` threshold."""
+    """Multilevel detection, one coupling pass, features at ``threshold`` then
+    at each ``sweep`` threshold, and the report encoded in this process."""
     partition = community.detect_multilevel(graph, seed)
     outcome = homophily.partition_suspicious(graph, partition, threshold)
     outcomes = (outcome, *homophily.at_thresholds(graph, outcome, sweep))
@@ -70,7 +75,8 @@ def analyze_graph(
         app_id=graph.app_id,
         label=graph.ground_truth,
         vectors=tuple(features[id(o.suspicious_subgraph)] for o in outcomes),
-        report=partition_report(graph, partition, outcome) if report else None,
+        report=(JSON_ENCODER.encode(partition_report(graph, partition, outcome))
+                if report else None),
     )
 
 

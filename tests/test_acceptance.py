@@ -7,6 +7,7 @@ suspicious subgraph earns its place against the whole graph, and a payload
 coupled above the threshold evades detection.
 """
 
+import json
 import random
 import time
 
@@ -200,7 +201,7 @@ def test_payload_coupled_above_threshold_evades(catalog):
         results = pipeline.analyze_corpus([g for g, _ in corpus], catalog)
         covert = [a for a in results if a.label == "malware"]
         if target > 3.0:
-            assert all(not a.report["suspicious_nodes"] for a in covert)
+            assert all(not json.loads(a.report)["suspicious_nodes"] for a in covert)
             assert all(not a.vectors[0].any() for a in results)
         cv = classify.cross_validate(pipeline.samples_by_threshold(results)[0],
                                      folds=5, k=1, seed=0)
@@ -226,7 +227,7 @@ def test_criterion_8_suspicious_recovery(corpus, analyses):
     for graph, truth in corpus:
         if truth.label != "malware" or len(scores) >= 100:
             continue
-        susp = set(by_id[graph.app_id].report["suspicious_nodes"])
+        susp = set(json.loads(by_id[graph.app_id].report)["suspicious_nodes"])
         planted = set(truth.planted_nodes)
         union = susp | planted
         scores.append(len(susp & planted) / len(union) if union else 0.0)

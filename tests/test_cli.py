@@ -14,7 +14,7 @@ import pytest
 import homgraph
 from homgraph import cli, community, generate, homophily, pipeline
 from homgraph.cli import build_parser, main, read_features_csv
-from homgraph.model import InputError, load_catalog, serialize_graph
+from homgraph.model import InputError, load_catalog, load_graph, serialize_graph
 
 from conftest import ProcessLog, make_graph
 
@@ -663,21 +663,25 @@ class TestStreaming:
         assert "need both classes, got []" in capsys.readouterr().err
 
 
+def json_values(st):
+    """Hypothesis strategy: nested lists, tuples and dicts of JSON scalars."""
+    text = st.text(st.one_of(st.sampled_from("\n\u2028\x00\x1f\x7f\"\\é漢"),
+                             st.characters()))
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 1e308]), text,
+    )
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(text, kids)),
+        max_leaves=30)
+
+
 class TestJsonOutput:
     # Every JSON output is cli._json_text, yielded in bounded pieces.
     def test_pieces_join_to_json_dumps_property(self):
         hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        text = st.text(st.one_of(st.sampled_from("\n\u2028\x00\x1f\x7f\"\\é漢"),
-                                 st.characters()))
-        scalars = st.one_of(
-            st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**70),
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.sampled_from([-0.0, 1e308]), text,
-        )
-        values = st.recursive(scalars, lambda kids: st.one_of(
-            st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(text, kids)),
-            max_leaves=30)
+        values = json_values(hypothesis.strategies)
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
         @hypothesis.given(values)
@@ -685,6 +689,37 @@ class TestJsonOutput:
             assert "".join(cli._json_text(value)) == json.dumps(value, indent=1) + "\n"
 
         same_text()
+
+    # analyze writes partitions.json from reports encoded where they were built.
+    def test_list_of_encoded_items_joins_to_json_dumps_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.lists(json_values(st), max_size=5))
+        @hypothesis.example([])
+        @hypothesis.example(["a\nb", {"\u2028\n": ["\n", "\u2028"]}, [[]], {}])
+        def same_text(values):
+            texts = [pipeline.JSON_ENCODER.encode(v) for v in values]
+            pieces = list(cli._json_list_text(texts))
+            assert len(pieces) == len(values) + 1
+            assert "".join(pieces) == json.dumps(values, indent=1) + "\n"
+
+        same_text()
+
+    def test_analyze_graph_report_is_the_encoded_partition_report(self, tmp_path):
+        catalog = load_catalog(None)
+        path = next(p for p in sorted(gen_corpus(tmp_path).iterdir())
+                    if p.name.startswith("malware"))
+        graph = load_graph(path, catalog)
+        partition = community.detect_multilevel(graph, 0)
+        outcome = homophily.partition_suspicious(graph, partition, 3.0)
+        expected = pipeline.partition_report(graph, partition, outcome)
+        assert expected["sensitive_communities"]
+        text = pipeline.analyze_graph(graph, catalog).report
+        assert json.loads(text) == expected
+        assert text == json.dumps(expected, indent=1)
+        assert pipeline.analyze_graph(graph, catalog, report=False).report is None
 
     def test_large_payload_spans_several_pieces(self):
         payload = {"rows": [list(range(i, i + 50)) for i in range(400)]}

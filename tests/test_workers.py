@@ -7,6 +7,7 @@ outlive the command. W is forced here by replacing ``pipeline.worker_count``.
 """
 
 import logging
+import math
 import os
 import signal
 import subprocess
@@ -290,6 +291,24 @@ class TestWorkerFaults:
         assert proc.returncode == 3, proc.stderr
         assert "exited with code 7 before sending its results" in proc.stderr
         assert not (out / "features.csv").exists()
+
+    def test_encode_fault_in_a_worker_writes_nothing(self, corpus, tmp_path, monkeypatch,
+                                                      caplog):
+        # A NaN in benign-0001's report, item 1: the worker's share at W = 2.
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        real = pipeline.partition_report
+
+        def partition_report(graph, *args):
+            report = real(graph, *args)
+            return {**report, "q": math.nan} if graph.app_id == "benign-0001" else report
+
+        monkeypatch.setattr(pipeline, "partition_report", partition_report)
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(corpus), "--out", str(out)]) == 3
+        assert len(forks) == 1 and "not JSON compliant" in caplog.text
+        assert not (out / "features.csv").exists()
+        assert not (out / "partitions.json").exists()
 
     def test_unwritable_graph_path_in_a_worker_exits_2(self, tmp_path):
         out = tmp_path / "corpus"
