@@ -333,8 +333,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise InputError(f"--folds must be at least 2, got {args.folds}")
     thresholds = _parse_thresholds(args.sweep) if args.sweep else []
-    if bool(args.features) == bool(args.paths):
-        raise InputError("eval needs either graph paths or --features, not both")
+    if args.features and args.paths:
+        raise InputError("eval takes graph paths or --features, not both")
+    if not (args.features or args.paths):
+        raise InputError("eval needs graph paths or --features")
 
     payload: dict = {
         "seed": args.seed,

@@ -31,25 +31,27 @@ class ModularityUndefinedError(ValueError):
     """Modularity is undefined for graphs with no edges."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommunityPartition:
-    """Node -> community assignment with its modularity score.
+    """Per-position community labels with their modularity score.
 
-    Community ids are dense from 0, numbered by smallest member node id.
-    ``q_trace`` records modularity after each multilevel aggregation pass
-    (empty for other detectors).
+    ``labels[i]`` is the community of the graph's position ``i``; community
+    ids are dense from 0, numbered by smallest member. ``ids`` is the
+    graph's own id tuple. ``q_trace`` records modularity after each
+    multilevel aggregation pass (empty for other detectors).
     """
 
-    assignment: dict[int, int]
+    labels: np.ndarray  # int, one per position
+    ids: tuple[int, ...] = field(repr=False)
     community_count: int
     modularity_q: float
-    q_trace: tuple[float, ...] = field(default=(), compare=False)
+    q_trace: tuple[float, ...] = ()
 
     def communities(self) -> list[frozenset[int]]:
-        """Member sets indexed by community id."""
+        """Member id sets indexed by community id."""
         groups: dict[int, set[int]] = {}
-        for node, comm in self.assignment.items():
-            groups.setdefault(comm, set()).add(node)
+        for nid, comm in zip(self.ids, self.labels.tolist()):
+            groups.setdefault(comm, set()).add(nid)
         return [frozenset(groups[c]) for c in sorted(groups)]
 
 
@@ -69,24 +71,20 @@ def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
     degree of community c. Communities are summed in order of first
     appearance over the sorted undirected edges.
     """
-    assignment = partition.assignment
-    if assignment.keys() != graph.node_ids:
+    if partition.ids != graph.ids:
         raise ValueError(f"partition does not cover graph {graph.app_id!r} exactly")
     if not graph.pair_count:
         raise ModularityUndefinedError(
             f"graph {graph.app_id!r} has no edges; modularity is undefined"
         )
-    dense: dict[int, int] = {}
-    labels = [dense.setdefault(assignment[nid], len(dense)) for nid in graph.ids]
-    return _q(graph, labels)
+    return _q(graph, partition.labels)
 
 
-def _q(graph: CallGraph, labels: list[int] | np.ndarray) -> float:
+def _q(graph: CallGraph, labels: np.ndarray) -> float:
     """Modularity of per-position community labels, each in [0, node count),
     on a graph with edges. Communities are summed in order of first
     appearance over the sorted undirected edges; every term is
     integer-valued, so only that order can touch the last bit."""
-    labels = np.asarray(labels)
     upper = graph.rows < graph.indices
     ends = labels[np.column_stack([graph.rows[upper], graph.indices[upper]]).ravel()]
     cu, cv = ends[0::2], ends[1::2]
@@ -104,15 +102,17 @@ def _q(graph: CallGraph, labels: list[int] | np.ndarray) -> float:
 
 
 def _dense_partition(
-    graph: CallGraph, labels: list[int], q_trace: tuple[float, ...] = ()
+    graph: CallGraph, labels: list[int] | np.ndarray, q_trace: tuple[float, ...] = ()
 ) -> CommunityPartition:
     """Relabel per-position community labels densely from 0, ordered by
-    smallest member id (positions ascend with ids). A multilevel run's Q is
+    smallest member (positions ascend with ids). A multilevel run's Q is
     its last pass's; other labels are scored here."""
-    relabel = {label: k for k, label in enumerate(dict.fromkeys(labels))}
-    assignment = {nid: relabel[label] for nid, label in zip(graph.ids, labels)}
-    q = q_trace[-1] if q_trace else (_q(graph, labels) if graph.pair_count else 0.0)
-    return CommunityPartition(assignment, len(relabel), q, q_trace)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    dense = rank[inverse]
+    q = q_trace[-1] if q_trace else (_q(graph, dense) if graph.pair_count else 0.0)
+    return CommunityPartition(dense, graph.ids, len(first), q, q_trace)
 
 
 def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
@@ -127,7 +127,7 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     """
     n = graph.node_count
     if not graph.pair_count:
-        return _dense_partition(graph, list(range(n)))
+        return _dense_partition(graph, np.arange(n))
 
     # Aggregated-graph state; weights are per unordered pair, self-loops once.
     adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbours()]
@@ -151,7 +151,7 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
             break
         prev_q = q
 
-    return _dense_partition(graph, membership.tolist(), tuple(q_trace))
+    return _dense_partition(graph, membership, tuple(q_trace))
 
 
 def _local_moving(

@@ -1,6 +1,6 @@
 """Homophily analysis: coupling, suspicious-subgraph assembly, covertness.
 
-Coupling between two disjoint node sets compares the observed fraction of
+Coupling between two disjoint node masks compares the observed fraction of
 cross edges against the chance expectation 2*p*q for independently colored
 endpoints. Low coupling (at or below the threshold) marks a sensitive
 community as suspicious; high coupling means the sensitive code is wired
@@ -70,30 +70,30 @@ class CouplingReport:
         return 2.0 * (self.n_a / n) * (self.n_b / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitiveCommunity:
     """One community containing sensitive API nodes, with its verdict."""
 
-    nodes: frozenset[int]
+    nodes: np.ndarray  # ascending positions
     coupling: CouplingReport
     verdict: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionOutcome:
     """Result of splitting a partitioned graph into benign and suspicious parts."""
 
-    benign_nodes: frozenset[int]
+    benign_nodes: np.ndarray  # ascending positions
     sensitive_communities: tuple[SensitiveCommunity, ...]
     suspicious_subgraph: CallGraph
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovertnessReport:
     """Proportion and coupling profile of a graph's malicious part."""
 
-    malicious_nodes: frozenset[int]
+    malicious_nodes: np.ndarray  # ascending positions
     proportion: float
     coupling_normal_malicious: CouplingReport
     category: str
@@ -113,44 +113,42 @@ def coupling_from_counts(n_a: int, n_b: int, e_a: int, e_b: int, s: int) -> Coup
     return CouplingReport(n_a, n_b, e_a, e_b, s, c)
 
 
-def coupling(graph: CallGraph, part_a: Iterable[int], part_b: Iterable[int]) -> CouplingReport:
-    """Coupling between two disjoint, non-empty node sets of ``graph``.
+def coupling(graph: CallGraph, part_a: np.ndarray, part_b: np.ndarray) -> CouplingReport:
+    """Coupling between two disjoint, non-empty boolean masks over the
+    positions of ``graph``.
 
     Counts undirected edges of the subgraph induced on ``part_a | part_b``:
     ``e_a`` within a, ``e_b`` within b, ``s`` across. Edges with an endpoint
     outside both parts are ignored.
     """
-    set_a = frozenset(part_a)
-    set_b = frozenset(part_b)
-    if set_a & set_b:
+    if any(p.dtype != bool or p.shape != (graph.node_count,) for p in (part_a, part_b)):
+        raise ValueError(f"coupling parts must be masks of {graph.node_count} booleans")
+    if (part_a & part_b).any():
         raise ValueError("coupling parts must be disjoint")
-    outside = (set_a | set_b) - graph.node_ids
-    if outside:
-        raise ValueError(f"part nodes not in graph: {sorted(outside)[:5]}")
-
-    (e_a,), e_b, (s,) = _edge_counts(graph, [set_a], set_b)
-    return coupling_from_counts(len(set_a), len(set_b), e_a, e_b, s)
+    group = np.full(graph.node_count, -2)
+    group[part_b] = -1
+    group[part_a] = 0
+    (e_a,), e_b, (s,) = _edge_counts(graph, group, 1)
+    return coupling_from_counts(int(np.count_nonzero(part_a)), int(np.count_nonzero(part_b)),
+                                e_a, e_b, s)
 
 
 def _edge_counts(
-    graph: CallGraph, groups: list[Iterable[int]], rest: Iterable[int]
+    graph: CallGraph, group: np.ndarray, groups: int
 ) -> tuple[list[int], int, list[int]]:
-    """Coupling counts of every group against ``rest``, in one edge scan.
+    """Coupling counts of groups ``0..groups-1`` against group -1, in one
+    edge scan, given each position's group (-2 for none).
 
     Returns per-group ``e_a`` and ``s`` lists and the shared ``e_b``. Edges
     joining two groups, or touching a node in none of the parts, are ignored.
     """
-    label = np.full(graph.node_count, -2)  # -1 for rest, -2 for neither
-    label[[graph.position[v] for v in rest]] = -1
-    for k, members in enumerate(groups):
-        label[[graph.position[v] for v in members]] = k
     upper = graph.rows < graph.indices
-    a, b = label[graph.rows[upper]], label[graph.indices[upper]]
+    a, b = group[graph.rows[upper]], group[graph.indices[upper]]
     same = a[a == b]
     # The group end of each edge with exactly one end in part -1.
     cross = np.where(a == -1, b, a)[(a == -1) != (b == -1)]
-    e_a = np.bincount(same[same >= 0], minlength=len(groups))
-    s = np.bincount(cross[cross >= 0], minlength=len(groups))
+    e_a = np.bincount(same[same >= 0], minlength=groups)
+    s = np.bincount(cross[cross >= 0], minlength=groups)
     return e_a.tolist(), int(np.count_nonzero(same == -1)), s.tolist()
 
 
@@ -168,27 +166,28 @@ def partition_suspicious(
     suspicious and its coupling is recorded as 0. :func:`at_thresholds`
     judges the result again at other thresholds without a new scan.
     """
-    if partition.assignment.keys() != graph.node_ids:
+    labels = partition.labels
+    if labels.shape != (graph.node_count,):
         raise ValueError("partition does not cover graph exactly")
-
-    sensitive_ids = graph.sensitive_ids
-    benign: set[int] = set()
-    sensitive_groups: list[frozenset[int]] = []
-    for members in partition.communities():
-        if members & sensitive_ids:
-            sensitive_groups.append(members)
-        else:
-            benign.update(members)
-    e_a, e_b, s = _edge_counts(graph, sensitive_groups, benign)
+    # Ascending ids of the communities with a flagged member. (np.unique would
+    # do, but its first call imports numpy.ma, about 1 MB per process.)
+    sensitive = np.flatnonzero(np.bincount(labels[graph.sensitive], minlength=len(labels)))
+    group_of = np.full(len(labels), -1)  # -1 for the benign community
+    group_of[sensitive] = np.arange(len(sensitive))
+    group = group_of[labels]
+    e_a, e_b, s = _edge_counts(graph, group, len(sensitive))
+    # Positions by group, each ascending: the benign part, then every group.
+    order = np.argsort(group, kind="stable")
+    benign, *members = np.split(order, np.searchsorted(group[order], np.arange(len(sensitive))))
 
     coupled = []
-    for k, members in enumerate(sensitive_groups):
-        if benign:
-            report = coupling_from_counts(len(members), len(benign), e_a[k], e_b, s[k])
+    for k, nodes in enumerate(members):
+        if len(benign):
+            report = coupling_from_counts(len(nodes), len(benign), e_a[k], e_b, s[k])
         else:
-            report = CouplingReport(len(members), 0, 0, 0, 0, 0.0)
-        coupled.append((members, report))
-    return _judge(graph, frozenset(benign), coupled, threshold, {})
+            report = CouplingReport(len(nodes), 0, 0, 0, 0, 0.0)
+        coupled.append((nodes, report))
+    return _judge(graph, benign, coupled, threshold, {})
 
 
 def at_thresholds(
@@ -208,9 +207,9 @@ def at_thresholds(
     return tuple(_judge(graph, outcome.benign_nodes, coupled, t, subgraphs) for t in thresholds)
 
 
-def _judge(graph: CallGraph, benign: frozenset[int], coupled: list, threshold: float,
+def _judge(graph: CallGraph, benign: np.ndarray, coupled: list, threshold: float,
            subgraphs: dict) -> PartitionOutcome:
-    """The outcome at ``threshold`` of (members, coupling) pairs. ``subgraphs``
+    """The outcome at ``threshold`` of (positions, coupling) pairs. ``subgraphs``
     holds the suspicious subgraph of each verdict tuple built so far."""
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
@@ -221,16 +220,20 @@ def _judge(graph: CallGraph, benign: frozenset[int], coupled: list, threshold: f
     )
     key = tuple(sc.verdict for sc in communities)
     if key not in subgraphs:
-        union = {n for sc in communities if sc.verdict == SUSPICIOUS for n in sc.nodes}
+        union = np.zeros(graph.node_count, bool)
+        for sc in communities:
+            if sc.verdict == SUSPICIOUS:
+                union[sc.nodes] = True
         subgraphs[key] = induced_subgraph(graph, union)
     return PartitionOutcome(benign, communities, subgraphs[key], threshold)
 
 
-def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:
-    """Sensitive nodes plus their callers within ``hops`` reverse-edge steps."""
+def malicious_part(graph: CallGraph, hops: int = 1) -> np.ndarray:
+    """Mask of the sensitive nodes plus their callers within ``hops``
+    reverse-edge steps."""
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    part = graph.sensitive
+    part = graph.sensitive.copy()
     called = (graph.dyads & 2) != 0  # entry (i, j) has the code-2 bit: j calls i
     for _ in range(hops):
         grown = part.copy()
@@ -238,7 +241,7 @@ def malicious_part(graph: CallGraph, hops: int = 1) -> frozenset[int]:
         if (grown == part).all():
             break
         part = grown
-    return frozenset(graph.ids[i] for i in np.flatnonzero(part).tolist())
+    return part
 
 
 def proportion_category(proportion: float) -> str:
@@ -263,17 +266,17 @@ def covertness(graph: CallGraph, hops: int = 1) -> CovertnessReport:
     steps; the normal part is everything else.
     """
     malicious = malicious_part(graph, hops)
-    if not malicious:
+    count = int(np.count_nonzero(malicious))
+    if not count:
         raise CovertnessError(f"graph {graph.app_id!r} has no sensitive nodes")
-    normal = graph.node_ids - malicious
-    if not normal:
+    if count == graph.node_count:
         raise CovertnessError(
             f"graph {graph.app_id!r}: malicious part covers every node"
         )
-    proportion = len(malicious) / graph.node_count
-    report = coupling(graph, normal, malicious)
+    proportion = count / graph.node_count
+    report = coupling(graph, ~malicious, malicious)
     return CovertnessReport(
-        malicious_nodes=malicious,
+        malicious_nodes=np.flatnonzero(malicious),
         proportion=proportion,
         coupling_normal_malicious=report,
         category=proportion_category(proportion),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import KeysView
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
@@ -70,8 +69,8 @@ class CallGraph:
     """Immutable, normalized directed call graph, as arrays over positions.
 
     Position ``i`` holds node ``ids[i]`` (ascending), named ``names[i]`` and
-    flagged ``sensitive[i]``; ``position`` maps each id back. Only positions
-    enter the index, so ids of any size work. The index is a CSR of the
+    flagged ``sensitive[i]``. Only positions enter the index and pass between
+    analysis stages, so ids of any size work. The index is a CSR of the
     simple undirected projection: position ``i``'s neighbours are
     ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``rows`` holds each
     entry's position, so every pair appears once from each end. ``dyads``
@@ -82,7 +81,6 @@ class CallGraph:
 
     app_id: str
     ids: tuple[int, ...]
-    position: dict[int, int] = field(repr=False)
     names: tuple[str, ...]
     sensitive: np.ndarray  # bool, one per position
     indptr: np.ndarray = field(repr=False)
@@ -111,13 +109,9 @@ class CallGraph:
         dyads[entry[:len(src)]] |= 1
         dyads[entry[len(src):]] |= 2
         rows, indices = np.divmod(keys, max(n, 1))
-        return cls(app_id, ids, position, tuple(map(names.__getitem__, order)),
+        return cls(app_id, ids, tuple(map(names.__getitem__, order)),
                    np.fromiter(map(sensitive.__getitem__, order), bool, n),
                    np.searchsorted(rows, np.arange(n + 1)), indices, rows, dyads, ground_truth)
-
-    @property
-    def node_ids(self) -> KeysView[int]:
-        return self.position.keys()
 
     @property
     def node_count(self) -> int:
@@ -144,10 +138,6 @@ class CallGraph:
         """(caller, callee) position rows, sorted: the entries with bit 1."""
         calls = (self.dyads & 1) != 0
         return np.column_stack([self.rows[calls], self.indices[calls]])
-
-    @cached_property
-    def sensitive_ids(self) -> frozenset[int]:
-        return frozenset(compress(self.ids, self.sensitive.tolist()))
 
     @cached_property
     def nodes(self) -> tuple[FunctionNode, ...]:
@@ -266,21 +256,21 @@ def apply_catalog(graph: CallGraph, catalog: SensitiveApiCatalog) -> CallGraph:
     return replace(graph, sensitive=flags)
 
 
-def induced_subgraph(graph: CallGraph, node_ids) -> CallGraph:
-    """Subgraph on ``node_ids`` keeping exactly the edges internal to the set:
-    the parent's index entries between kept positions, renumbered."""
-    keep = set(node_ids)
-    if unknown := keep - graph.position.keys():
-        raise ValueError(f"node ids not in graph: {sorted(unknown)[:5]}")
-    kept = [nid in keep for nid in graph.ids]
-    mask = np.array(kept, bool)
+def induced_subgraph(graph: CallGraph, mask) -> CallGraph:
+    """Subgraph on the positions where the boolean ``mask`` is set, keeping
+    exactly the edges internal to them: the parent's index entries between
+    kept positions, renumbered."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (graph.node_count,):
+        raise ValueError(f"mask must be {graph.node_count} booleans, "
+                         f"got {mask.dtype} of shape {mask.shape}")
+    kept = mask.tolist()
     ids = tuple(compress(graph.ids, kept))
     renumber = np.cumsum(mask) - 1
     inside = mask[graph.rows] & mask[graph.indices]
     rows = renumber[graph.rows[inside]]
-    return CallGraph(graph.app_id, ids, dict(zip(ids, range(len(ids)))),
-                     tuple(compress(graph.names, kept)), graph.sensitive[mask],
-                     np.searchsorted(rows, np.arange(len(ids) + 1)),
+    return CallGraph(graph.app_id, ids, tuple(compress(graph.names, kept)),
+                     graph.sensitive[mask], np.searchsorted(rows, np.arange(len(ids) + 1)),
                      renumber[graph.indices[inside]], rows, graph.dyads[inside],
                      graph.ground_truth)
 

@@ -178,7 +178,7 @@ def samples_by_threshold(analyses: Sequence[GraphAnalysis]) -> list[list[Labeled
 
 def partition_report(graph: CallGraph, partition: community.CommunityPartition,
                      outcome: homophily.PartitionOutcome) -> dict:
-    """JSON-ready partition report for one analyzed graph."""
+    """JSON-ready partition report for one analyzed graph, naming nodes by id."""
     return {
         "app_id": graph.app_id,
         "nodes": graph.node_count,
@@ -190,7 +190,7 @@ def partition_report(graph: CallGraph, partition: community.CommunityPartition,
         "sensitive_communities": [
             {
                 "size": len(sc.nodes),
-                "nodes": sorted(sc.nodes),
+                "nodes": [graph.ids[p] for p in sc.nodes.tolist()],
                 "coupling": _coupling_dict(sc.coupling),
                 "verdict": sc.verdict,
             }
@@ -215,11 +215,12 @@ def _coupling_dict(report: homophily.CouplingReport) -> dict:
 
 
 def covertness_report_dict(graph: CallGraph, report: homophily.CovertnessReport) -> dict:
+    """JSON-ready covertness report for one graph, naming nodes by id."""
     return {
         "app_id": graph.app_id,
         "node_count": graph.node_count,
         "malicious_node_count": len(report.malicious_nodes),
-        "malicious_nodes": sorted(report.malicious_nodes),
+        "malicious_nodes": [graph.ids[p] for p in report.malicious_nodes.tolist()],
         "proportion": report.proportion,
         "coupling": _coupling_dict(report.coupling_normal_malicious),
         "category": report.category,

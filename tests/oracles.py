@@ -11,7 +11,9 @@ from every edge of the level, and a second census classifies every
 connected triple one at a time with the production code table. Graphs are
 normalized in plain passes over nodes and edges rather than while parsing,
 and every neighbour set is built here from ``graph.edges``, never read from
-production's CSR index arrays.
+production's CSR index arrays. Production passes node positions and
+masks between stages; the id conversions tests need to state expectations
+in ids live here too, as plain lookups over ``graph.ids``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from homgraph.community import CommunityPartition
 from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES
 from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
 
@@ -57,6 +60,57 @@ def document(graph: CallGraph) -> dict:
         "nodes": [{"id": n.id, "name": n.name, "sensitive": n.sensitive} for n in graph.nodes],
         "edges": [list(e) for e in graph.edges],
     }
+
+
+def with_sparse_ids(graph: CallGraph, seed: int = 0) -> tuple[CallGraph, dict[int, int]]:
+    """``graph`` with every id replaced by a distinct sparse id, in shuffled
+    order and one of them at least 2**63, and the old id -> new id map.
+    Names, flags, arcs and label carry over, so positions stop being ids."""
+    rng = random.Random(seed)
+    new = rng.sample(range(1, 10**9), graph.node_count)
+    if new:
+        new[rng.randrange(len(new))] = 2**63 + rng.randrange(10**6)
+    remap = dict(zip(graph.ids, new))
+    doc = document(graph)
+    doc["nodes"] = [dict(n, id=remap[n["id"]]) for n in doc["nodes"]]
+    doc["edges"] = [[remap[u], remap[v]] for u, v in doc["edges"]]
+    return normalize(doc), remap
+
+
+def mask_of(graph: CallGraph, ids) -> np.ndarray:
+    """Boolean position mask of the node ``ids``, every one in ``graph``."""
+    wanted = set(ids)
+    assert wanted <= set(graph.ids), sorted(wanted - set(graph.ids))[:5]
+    return np.array([nid in wanted for nid in graph.ids], bool)
+
+
+def id_set(graph: CallGraph, nodes) -> frozenset[int]:
+    """Ids of a boolean position mask, or of a sequence of positions."""
+    nodes = np.asarray(nodes)
+    if nodes.dtype == bool:
+        nodes = np.flatnonzero(nodes)
+    return frozenset(graph.ids[i] for i in nodes.tolist())
+
+
+def sensitive_ids(graph: CallGraph) -> frozenset[int]:
+    """Ids of the flagged nodes, read through ``graph.nodes``."""
+    return frozenset(n.id for n in graph.nodes if n.sensitive)
+
+
+def partition_of(graph: CallGraph, assignment: dict[int, int],
+                 modularity_q: float = 0.0) -> CommunityPartition:
+    """The partition of an id -> community mapping that covers ``graph``,
+    communities renumbered from 0 in the order of their given numbers."""
+    rank = {c: k for k, c in enumerate(sorted(set(assignment.values())))}
+    labels = np.array([rank[assignment[nid]] for nid in graph.ids], np.int64)
+    return CommunityPartition(labels, graph.ids, len(rank), modularity_q)
+
+
+def outcome_key(outcome) -> tuple:
+    """A ``PartitionOutcome`` as plain comparable values."""
+    return (outcome.benign_nodes.tolist(), outcome.suspicious_subgraph, outcome.threshold,
+            [(sc.nodes.tolist(), sc.coupling, sc.verdict)
+             for sc in outcome.sensitive_communities])
 
 
 def succ_pred(graph: CallGraph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
@@ -153,7 +207,7 @@ def brute_census(graph: CallGraph, catalog: SensitiveApiCatalog | None = None):
     sensitive: dict[tuple[int, str], int] = {}
     api_matches = _substring_hits(graph, catalog)
     edgeless = 0
-    for a, b, c in itertools.combinations(sorted(graph.node_ids), 3):
+    for a, b, c in itertools.combinations(sorted(n.id for n in graph.nodes), 3):
         name = classify_triple(succ, a, b, c)
         if name == "003":
             edgeless += 1

@@ -20,7 +20,7 @@ from homgraph.homophily import PartitionOutcome, coupling_from_counts
 from homgraph.model import SensitiveApiCatalog, load_catalog
 
 from conftest import barbell, make_graph, random_digraph
-from oracles import brute_census
+from oracles import brute_census, partition_of
 from test_features import FIG_EDGES, FIG_NAMES
 
 
@@ -130,9 +130,7 @@ def test_criterion_4_census_oracle_equivalence():
 
 def test_criterion_5_modularity_and_louvain():
     g = barbell()
-    split = community.CommunityPartition(
-        {i: (0 if i < 4 else 1) for i in range(8)}, 2, 0.0
-    )
+    split = partition_of(g, {i: (0 if i < 4 else 1) for i in range(8)})
     q_hand = community.modularity(g, split)
     detected = community.detect_multilevel(g, seed=0)
     recovers = detected.community_count == 2 and (

@@ -17,6 +17,10 @@ import pytest
 
 import homgraph
 from homgraph.cli import main
+from homgraph.generate import SyntheticSpec, generate_corpus
+from homgraph.model import serialize_graph
+
+from oracles import with_sparse_ids
 
 ROOT = Path(__file__).resolve().parent.parent
 # Measured by run.py itself, on traced corpus runs only, through this entry point.
@@ -36,6 +40,36 @@ def installed_tracer():
         yield tracer
     finally:
         tracer.uninstall()
+
+
+@pytest.fixture
+def workloads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return workloads
+
+
+def test_modularity_check_passes_on_sparse_ids(workloads, tmp_path):
+    # The benchmark checks each sampled partition report against networkx,
+    # which names nodes by the graph file's ids; those ids here are sparse,
+    # one at least 2**63, so no position passes for an id.
+    pytest.importorskip("networkx")
+    (graph, _), = generate_corpus(SyntheticSpec(seed=4), 0, 1, homgraph.load_catalog())
+    graph, _ = with_sparse_ids(graph, 4)
+    path = tmp_path / "sparse.json"
+    path.write_text(serialize_graph(graph), encoding="utf-8")
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("android.telephony\nandroid.location\n", encoding="utf-8")
+    for catalog_path in (None, catalog):
+        out = tmp_path / "partition.json"
+        flags = ["--catalog", str(catalog_path)] if catalog_path else []
+        assert main(["partition", str(path), *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        ok, detail = workloads.modularity_agrees(path, report, catalog_path)
+        assert ok, detail
 
 
 def test_every_per_layer_metric_is_produced(installed_tracer, tmp_path):

@@ -462,9 +462,13 @@ class TestEval:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_features_and_paths_mutually_exclusive(self, eval_corpus, tmp_path):
+    def test_features_and_paths_mutually_exclusive(self, eval_corpus, tmp_path, capsys):
+        # Each mistake is named: both inputs given, or neither.
         assert run("eval", str(eval_corpus), "--features", "x.csv") == 2
+        assert ("homgraph: error: eval takes graph paths or --features, not both\n"
+                in capsys.readouterr().err)
         assert run("eval") == 2
+        assert "homgraph: error: eval needs graph paths or --features\n" in capsys.readouterr().err
 
     def test_sweep_requires_paths(self, eval_corpus, tmp_path):
         analysis = tmp_path / "analysis2"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from homgraph import community, generate
@@ -20,18 +21,14 @@ from conftest import barbell, make_graph, random_digraph, triangle_ring
 from oracles import (
     full_sweep_local_moving,
     level_totals,
+    partition_of,
     undirected_edges,
     undirected_neighbors,
     weighted_q,
+    with_sparse_ids,
 )
 
 BARBELL_Q = 12 / 13 - 0.5  # m=13, two cliques: m_c=6, d_c=13 each
-
-
-def partition_of(graph, mapping):
-    return CommunityPartition(
-        assignment=mapping, community_count=len(set(mapping.values())), modularity_q=0.0
-    )
 
 
 class TestModularity:
@@ -57,8 +54,10 @@ class TestModularity:
 
     def test_relabel_invariance(self):
         rng = random.Random(3)
-        for _ in range(30):
+        for case in range(30):
             g = random_digraph(rng, rng.randint(4, 40), 0.2)
+            if case % 2:
+                g, _ = with_sparse_ids(g, case)
             if not undirected_edges(g):
                 continue
             mapping = {n.id: rng.randrange(5) for n in g.nodes}
@@ -70,15 +69,14 @@ class TestModularity:
     def test_partition_must_cover_graph(self):
         g = barbell()
         with pytest.raises(ValueError, match="cover"):
-            modularity(g, partition_of(g, {0: 0}))
+            modularity(g, CommunityPartition(np.zeros(1, np.int64), (0,), 1, 0.0))
 
 
 class TestMultilevel:
     def test_barbell_recovers_cliques(self):
         part = detect_multilevel(barbell(), seed=0)
         assert part.community_count == 2
-        assert len({part.assignment[i] for i in range(4)}) == 1
-        assert len({part.assignment[i] for i in range(4, 8)}) == 1
+        assert part.communities() == [frozenset(range(4)), frozenset(range(4, 8))]
         assert part.modularity_q == pytest.approx(BARBELL_Q, abs=1e-9)
 
     def test_edgeless_graph_singletons(self):
@@ -95,8 +93,8 @@ class TestMultilevel:
         # merging any adjacent triangle pair must not improve Q
         base_q = part.modularity_q
         for t in range(8):
-            merged = dict(part.assignment)
-            target = part.assignment[3 * t]
+            merged = dict(zip(g.ids, part.labels.tolist()))
+            target = merged[3 * t]
             for member in (3 * ((t + 1) % 8), 3 * ((t + 1) % 8) + 1, 3 * ((t + 1) % 8) + 2):
                 merged[member] = target
             q_merged = modularity(g, partition_of(g, merged))
@@ -108,14 +106,14 @@ class TestMultilevel:
             g = random_digraph(rng, 40, 0.1)
             a = detect_multilevel(g, seed=5)
             b = detect_multilevel(g, seed=5)
-            assert a.assignment == b.assignment
+            assert np.array_equal(a.labels, b.labels)
 
     def test_q_trace_non_decreasing_and_q_recomputed(self):
         rng = random.Random(23)
         for _ in range(100):
             g = random_digraph(rng, rng.randint(5, 50), rng.uniform(0.05, 0.3))
             part = detect_multilevel(g, seed=1)
-            assert sorted(part.assignment) == sorted(g.node_ids)
+            assert part.ids is g.ids and part.labels.shape == (g.node_count,)
             for earlier, later in zip(part.q_trace, part.q_trace[1:]):
                 assert later >= earlier - 1e-9
             if undirected_edges(g):
@@ -133,7 +131,7 @@ class TestMultilevel:
 
     def test_community_ids_dense_from_zero(self):
         part = detect_multilevel(barbell(), seed=3)
-        assert set(part.assignment.values()) == set(range(part.community_count))
+        assert set(part.labels.tolist()) == set(range(part.community_count))
 
     def test_karate_club_benchmark(self):
         # Zachary karate club; near-optimal modularity is ~0.4198
@@ -327,7 +325,7 @@ class TestPassQ:
             part = detect_multilevel(g, seed=rng.randrange(1000))
             assert len(part.q_trace) == len(memberships)
             undirected = nx.Graph()
-            undirected.add_nodes_from(g.node_ids)
+            undirected.add_nodes_from(g.ids)
             undirected.add_edges_from(undirected_edges(g))
             for q, membership, level_q in zip(part.q_trace, memberships, level_qs):
                 induced = partition_of(g, dict(zip(g.ids, membership)))
@@ -361,13 +359,16 @@ class TestNetworkxModularity:
                   for _ in range(100)]
         corpus = generate.generate_corpus(generate.SyntheticSpec(), 10, 10, load_catalog())
         graphs += [g for g, _ in corpus]
+        graphs += [with_sparse_ids(g, k)[0] for k, g in enumerate(graphs[:40])]
         for g in graphs:
             part = detect_multilevel(g)
             undirected = nx.Graph()
-            undirected.add_nodes_from(g.node_ids)
+            undirected.add_nodes_from(n.id for n in g.nodes)
             undirected.add_edges_from(undirected_edges(g))
             expected = nx.community.modularity(undirected, part.communities())
             assert part.modularity_q == pytest.approx(expected, abs=1e-9)
+            if undirected_edges(g):
+                assert modularity(g, part) == part.modularity_q
 
 
 class TestLabelPropagation:
@@ -375,11 +376,10 @@ class TestLabelPropagation:
         g = barbell()
         part = detect_label_propagation(g, seed=1)
         assert part.community_count == 2
-        assert len({part.assignment[i] for i in range(4)}) == 1
-        assert len({part.assignment[i] for i in range(4, 8)}) == 1
+        assert part.communities() == [frozenset(range(4)), frozenset(range(4, 8))]
         # fixpoint: under the final labeling every node already holds its
         # most frequent neighbor label (ties to smallest)
-        labels = part.assignment
+        labels = dict(zip(g.ids, part.labels.tolist()))
         for nid, nbrs in undirected_neighbors(g).items():
             counts = {}
             for m in nbrs:
@@ -401,17 +401,15 @@ class TestLabelPropagation:
         rng = random.Random(17)
         for _ in range(10):
             g = random_digraph(rng, 30, 0.15)
-            assert (
-                detect_label_propagation(g, seed=9).assignment
-                == detect_label_propagation(g, seed=9).assignment
-            )
+            assert np.array_equal(detect_label_propagation(g, seed=9).labels,
+                                  detect_label_propagation(g, seed=9).labels)
 
     def test_partition_covers_and_q_matches(self):
         rng = random.Random(29)
         for _ in range(30):
             g = random_digraph(rng, rng.randint(3, 40), 0.15)
             part = detect_label_propagation(g, seed=2)
-            assert sorted(part.assignment) == sorted(g.node_ids)
+            assert part.ids is g.ids and part.labels.shape == (g.node_count,)
             if undirected_edges(g):
                 assert part.modularity_q == pytest.approx(modularity(g, part), abs=1e-9)
 
@@ -466,13 +464,12 @@ class TestPartitionCover:
             for detect in (detect_multilevel, detect_label_propagation):
                 part = detect(g, seed)
                 groups = part.communities()
-                assert part.assignment.keys() == g.node_ids
+                assert part.labels.shape == (n,)
                 assert len(groups) == part.community_count
                 assert sum(map(len, groups)) == n
-                assert frozenset().union(*groups) == g.node_ids
+                assert frozenset().union(*groups) == frozenset(g.ids)
                 outcome = partition_suspicious(g, part, 3.0)
                 parts = [outcome.benign_nodes, *(sc.nodes for sc in outcome.sensitive_communities)]
-                assert sum(map(len, parts)) == n
-                assert frozenset().union(*parts) == g.node_ids
+                assert sorted(np.concatenate(parts).tolist()) == list(range(n))
 
         cover()

@@ -47,7 +47,7 @@ def dense_block_graph():
 
 def outcome_for(graph, threshold=3.0):
     return PartitionOutcome(
-        benign_nodes=frozenset(),
+        benign_nodes=np.arange(0),
         sensitive_communities=(),
         suspicious_subgraph=graph,
         threshold=threshold,

@@ -20,6 +20,8 @@ from homgraph.homophily import (
 )
 from homgraph.model import BENIGN, MALWARE, load_catalog, matching_entries, serialize_graph
 
+from oracles import mask_of, sensitive_ids
+
 
 @pytest.fixture(scope="module")
 def catalog():
@@ -92,22 +94,22 @@ class TestGenerateCorpus:
 
     def test_planted_truth_consistency(self, small_corpus, catalog):
         for graph, truth in small_corpus:
-            planted_sensitive = truth.planted_nodes & graph.sensitive_ids
+            planted_sensitive = truth.planted_nodes & sensitive_ids(graph)
             assert planted_sensitive, "planted community must hold sensitive nodes"
-            assert graph.sensitive_ids <= truth.planted_nodes
+            assert sensitive_ids(graph) <= truth.planted_nodes
             for node in graph.nodes:
                 assert node.sensitive == bool(matching_entries(node.name, catalog))
 
     def test_sensitive_names_follow_api_indices(self, small_corpus, catalog):
         for graph, truth in small_corpus:
             by_id = {n.id: n for n in graph.nodes}
-            names = {by_id[n].name for n in graph.sensitive_ids}
+            names = {by_id[n].name for n in sensitive_ids(graph)}
             expected = {catalog.entries[i] for i in truth.api_indices}
             assert {n.rstrip("()") for n in names} == expected
 
     def test_normalized_output(self, small_corpus):
         for graph, _ in small_corpus:
-            assert [n.id for n in graph.nodes] == sorted(graph.node_ids)
+            assert [n.id for n in graph.nodes] == sorted(graph.ids)
             assert graph.edges == tuple(sorted(set(graph.edges)))
             assert all(u != v for u, v in graph.edges)
 
@@ -116,22 +118,22 @@ class TestCouplingBands:
     def test_covert_band_on_100_graphs(self, catalog):
         corpus = generate_corpus(SyntheticSpec(), 0, 100, catalog)
         for graph, truth in corpus:
-            rest = graph.node_ids - truth.planted_nodes
-            report = coupling(graph, truth.planted_nodes, rest)
+            planted = mask_of(graph, truth.planted_nodes)
+            report = coupling(graph, planted, ~planted)
             assert 1.0 < report.c <= 3.0
             assert report.c == pytest.approx(truth.planted_coupling, abs=1e-12)
 
     def test_benign_band(self, catalog):
         corpus = generate_corpus(SyntheticSpec(), 20, 0, catalog)
         for graph, truth in corpus:
-            rest = graph.node_ids - truth.planted_nodes
-            report = coupling(graph, truth.planted_nodes, rest)
+            planted = mask_of(graph, truth.planted_nodes)
+            report = coupling(graph, planted, ~planted)
             assert report.c > 3.0
             assert report.c == pytest.approx(truth.planted_coupling, abs=1e-12)
 
     def test_benign_remainder_has_no_sensitive_nodes(self, small_corpus):
         for graph, truth in small_corpus:
-            outside = graph.sensitive_ids - truth.planted_nodes
+            outside = sensitive_ids(graph) - truth.planted_nodes
             assert not outside
 
     def test_default_pipeline_verdicts_match_planted_truth(self, catalog):
@@ -145,7 +147,7 @@ class TestCouplingBands:
                 assert outcome.suspicious_subgraph.node_count == 0
             else:
                 assert verdicts == {SUSPICIOUS}
-                susp = set(outcome.suspicious_subgraph.node_ids)
+                susp = set(outcome.suspicious_subgraph.ids)
                 assert len(susp & truth.planted_nodes) >= 10
 
     def test_covert_presence_features_flag_planted_apis(self, catalog):

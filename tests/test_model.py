@@ -21,7 +21,14 @@ from homgraph.model import (
 )
 
 from conftest import make_graph
-from oracles import contained_entries, document, flag_from_catalog, normalize
+from oracles import (
+    contained_entries,
+    document,
+    flag_from_catalog,
+    mask_of,
+    normalize,
+    sensitive_ids,
+)
 
 
 def doc(**overrides):
@@ -79,15 +86,15 @@ class TestParse:
     def test_sensitive_flag_kept_without_catalog(self):
         g = parse_graph(doc(nodes=[{"id": 0, "name": "x", "sensitive": True},
                                    {"id": 1, "name": "y"}], edges=[]))
-        assert g.sensitive_ids == {0}
+        assert sensitive_ids(g) == {0}
 
     def test_catalog_overrides_input_flags(self, tmp_path):
         catalog = SensitiveApiCatalog(entries=("d.E.f",))
         path = tmp_path / "app.json"
         path.write_text(doc(nodes=[{"id": 0, "name": "a.B.c", "sensitive": True},
                                    {"id": 1, "name": "d.E.f"}], edges=[]), encoding="utf-8")
-        assert load_graph(path, catalog).sensitive_ids == {1}
-        assert load_graph(path).sensitive_ids == {0}
+        assert sensitive_ids(load_graph(path, catalog)) == {1}
+        assert sensitive_ids(load_graph(path)) == {0}
 
     def test_round_trip_random_graphs(self):
         rng = random.Random(42)
@@ -342,13 +349,13 @@ class TestCatalog:
 class TestSubgraph:
     def test_induced_edges_exact(self):
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-        sub = induced_subgraph(g, {0, 1, 2})
+        sub = induced_subgraph(g, mask_of(g, {0, 1, 2}))
         assert {n.id for n in sub.nodes} == {0, 1, 2}
         assert sub.edges == ((0, 1), (0, 2), (1, 2))
 
     def test_empty_induced_subgraph_allowed(self):
         g = make_graph(3, [(0, 1)])
-        sub = induced_subgraph(g, set())
+        sub = induced_subgraph(g, mask_of(g, ()))
         assert sub.node_count == 0 and sub.edges == ()
 
     def test_sliced_index_equals_rebuilt_index(self):
@@ -363,25 +370,28 @@ class TestSubgraph:
                      for nid in ids]
             edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3 * n))]
             g = normalize({"app_id": "s", "nodes": nodes, "edges": edges})
-            sub = induced_subgraph(g, rng.sample(ids, rng.randint(0, n)))
+            sub = induced_subgraph(g, mask_of(g, rng.sample(ids, rng.randint(0, n))))
             rebuilt = CallGraph.from_edges("s", [v.id for v in sub.nodes],
                                            [v.name for v in sub.nodes],
                                            [v.sensitive for v in sub.nodes], sub.edges)
             assert sub == rebuilt
-            assert sub.ids == rebuilt.ids and sub.position == rebuilt.position
+            assert sub.ids == rebuilt.ids
             for name in ("indptr", "indices", "rows", "dyads"):
                 a, b = getattr(sub, name), getattr(rebuilt, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_unknown_ids_rejected(self):
+        # The subgraph is chosen by a mask over positions: one of the wrong
+        # shape or type, such as a set of ids, is rejected.
         g = make_graph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            induced_subgraph(g, {0, 9})
+        for bad in (np.ones(10, bool), np.ones((3, 1), bool), np.array([0, 1, 1]), {0, 9}):
+            with pytest.raises(ValueError, match="mask must be 3 booleans"):
+                induced_subgraph(g, bad)
 
     def test_apply_catalog_recomputes_flags(self):
         g = make_graph(2, [(0, 1)], names={0: "keep.Api.call", 1: "other.X.y"})
         flagged = apply_catalog(g, SensitiveApiCatalog(entries=("keep.Api",)))
-        assert flagged.sensitive_ids == {0}
+        assert sensitive_ids(flagged) == {0}
 
     def test_apply_catalog_keeps_the_index(self):
         # Flagging replaces only the flags: the graph is indexed once per
@@ -424,7 +434,6 @@ class TestIndex:
 
             ids_ = g.ids
             assert ids_ == tuple(sorted(node_ids))
-            assert g.position == {nid: i for i, nid in enumerate(ids_)}
             assert g.pair_count == undirected.number_of_edges()
             assert g.edge_count == digraph.number_of_edges()
             neighbours = g.neighbours()
