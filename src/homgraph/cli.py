@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reuse a feature file from a prior analyze run")
     p_ev.add_argument("--sweep", metavar="T1,T2,...",
                       help="also evaluate each coupling threshold in the list")
-    p_ev.set_defaults(func=cmd_eval)
+    p_ev.set_defaults(func=cmd_eval, threshold=None)  # unset, so --features can refuse it
 
     return parser
 
@@ -327,7 +327,8 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_threshold("--threshold", args.threshold)
+    threshold = (_FLAGS["--threshold"]["default"] if args.threshold is None
+                 else _check_threshold("--threshold", args.threshold))
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     if args.folds < 2:
@@ -342,19 +343,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "k": args.k,
         "folds": args.folds,
-        "threshold": args.threshold,
+        "threshold": threshold,
         "algorithm": community.MULTILEVEL,
     }
     if args.features:
-        if thresholds:
-            raise InputError("--sweep needs graph paths (features must be re-extracted)")
-        if args.catalog is not None:
-            raise InputError("--catalog needs graph paths (features are already extracted)")
+        for flag, value in (("--sweep", args.sweep), ("--catalog", args.catalog),
+                            ("--threshold", args.threshold)):
+            if value is not None:
+                raise InputError(f"{flag} needs graph paths (features are already extracted)")
         samples = read_features_csv(args.features)
     else:
         catalog = load_catalog(args.catalog)
         analyses = pipeline.analyze_corpus(
-            pipeline.graph_files(args.paths), catalog, args.threshold, args.seed,
+            pipeline.graph_files(args.paths), catalog, threshold, args.seed,
             thresholds, reports=False,
         )
         samples, *swept = pipeline.samples_by_threshold(analyses)

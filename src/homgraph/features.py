@@ -23,11 +23,11 @@ types. Only triangles are listed, as arrays on the graph's CSR index: with
 nodes ranked by (degree, position), each node's pairs of higher-ranked
 ("forward") neighbours are its wedges, and a lookup in the sorted CSR keys
 closes them, so each triangle is found once, from its lowest node (Schank &
-Wagner 2005; Latapy 2008). Each one is classified and corrects the wedge and
-one-edge counts it was included in. Edgeless triples are the remainder. The
-per-API counts use the same wedge formulas and triangle correction: the
-wedges of the matching nodes, plus the wedges each neighbour loses without
-its arms into them, then the triangles through any matching node.
+Wagner 2005; Latapy 2008). A closing table turns the triangles, tallied by
+code, into corrections to the wedge and one-edge counts. Edgeless triples
+are the remainder. The per-API counts use the same wedge formulas and table:
+the wedges of the matching nodes, plus the wedges each neighbour loses
+without its arms into them, then the triangles through any matching node.
 """
 
 from __future__ import annotations
@@ -54,12 +54,25 @@ _TRICODES = (
     9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7, 12, 14, 15, 8, 14, 13, 15,
     11, 15, 15, 16,
 )
-_CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
 
 SELECTED_TRIADS = ("021D", "021U", "021C", "111U", "030T", "120U")
-_WEDGE_TYPES = ("021D", "021U", "021C", "111D", "111U", "201")
 _SELECTED_INDEX = {name: i for i, name in enumerate(SELECTED_TRIADS)}
 _WEDGE_CHUNK = 1 << 14  # wedges built and closed at once
+
+# Columns of count vectors over TRIAD_NAMES; the wedge types in _wedges' order.
+_SELECTED_COLUMNS = [TRIAD_NAMES.index(name) for name in SELECTED_TRIADS]
+_WEDGE_COLUMNS = [TRIAD_NAMES.index(name)
+                  for name in ("021D", "021U", "021C", "111D", "111U", "201")]
+
+# The closing rule, one row per triangle's dyad code: the triangle counts as
+# its closed type instead of the wedges at its corners (dropping a dyad's two
+# bits leaves the opposite corner's wedge), and each edge gains its third
+# node, in column 2 ("102") if mutual, else 1 ("012").
+_CODES, _TYPE = np.arange(64), np.subtract(_TRICODES, 1)
+_ONE_HOT = np.eye(len(TRIAD_NAMES), dtype=np.int64)
+_CLOSING = _ONE_HOT[_TYPE] + sum(
+    _ONE_HOT[np.where(_CODES & dyad == dyad, 2, 1)] - _ONE_HOT[_TYPE[_CODES & ~dyad]]
+    for dyad in (3, 12, 48))
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,6 @@ class TriadCensus:
     total_counts: dict[str, int]
     sensitive_counts: dict[tuple[int, str], int]
     edgeless_triples: int
-    node_count: int
     matched_entries: tuple[int, ...]
 
 
@@ -108,10 +120,10 @@ def triad_census(
     a, b, m = (np.bincount(subgraph.rows[subgraph.dyads == code], minlength=n)
                for code in (1, 2, 3))
     d = a + b + m
-    totals = dict.fromkeys(TRIAD_NAMES, 0)
-    totals.update((name, int(count.sum())) for name, count in zip(_WEDGE_TYPES, _wedges(a, b, m)))
-    totals["012"] = int(n * (d - m).sum() // 2 - d @ (d - m))
-    totals["102"] = int(n * m.sum() // 2 - d @ m)
+    totals = np.zeros(len(TRIAD_NAMES), np.int64)
+    totals[_WEDGE_COLUMNS] = np.sum(_wedges(a, b, m), axis=1)
+    totals[TRIAD_NAMES.index("012")] = n * (d - m).sum() // 2 - d @ (d - m)
+    totals[TRIAD_NAMES.index("102")] = n * m.sum() // 2 - d @ m
 
     # Each triangle once by code, and once more for every entry that one of
     # its nodes matches.
@@ -130,24 +142,19 @@ def triad_census(
             triangle, entry = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], width)
             entry_closed += np.bincount(entry * 64 + code[triangle],
                                         minlength=width * 64).reshape(width, 64)
-    _close(totals, closed)
-    for code, count in enumerate(closed.tolist()):
-        for dyad in (3, 12, 48):  # each edge of a triangle gains its third node
-            totals["102" if code & dyad == dyad else "012"] += count
+    totals += closed @ _CLOSING
 
-    sensitive: dict[tuple[int, str], int] = {}
+    # One row per matched entry, read only in the selected columns: not "012" or "102".
     members = np.sort(hit_entries * n + np.repeat(np.arange(n), hit_count))
-    wedges = _entry_wedges(subgraph, (a, b, m), members, width).tolist()
-    for api in matched:
-        counts = dict.fromkeys(TRIAD_NAMES, 0)
-        counts.update(zip(_WEDGE_TYPES, wedges[api]))
-        _close(counts, entry_closed[api])
-        sensitive.update(((api, t), counts[t]) for t in SELECTED_TRIADS if counts[t])
+    counts = entry_closed[matched] @ _CLOSING
+    counts[:, _WEDGE_COLUMNS] += _entry_wedges(subgraph, (a, b, m), members, width)[matched]
+    counts = counts[:, _SELECTED_COLUMNS]
+    row, column = np.nonzero(counts)
     return TriadCensus(
-        total_counts=totals,
-        sensitive_counts=sensitive,
-        edgeless_triples=n * (n - 1) * (n - 2) // 6 - sum(totals.values()),
-        node_count=n,
+        total_counts=dict(zip(TRIAD_NAMES, totals.tolist())),
+        sensitive_counts={(matched[r], SELECTED_TRIADS[c]): count for r, c, count
+                          in zip(row.tolist(), column.tolist(), counts[row, column].tolist())},
+        edgeless_triples=n * (n - 1) * (n - 2) // 6 - int(totals.sum()),
         matched_entries=tuple(matched),
     )
 
@@ -192,25 +199,14 @@ def _slices(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _wedges(a, b, m) -> tuple:
     """Wedges, open or closed, centred at a node with ``a`` out-only, ``b``
-    in-only and ``m`` mutual neighbours, by open type in ``_WEDGE_TYPES``
+    in-only and ``m`` mutual neighbours, by open type in ``_WEDGE_COLUMNS``
     order; on ints or elementwise on arrays."""
     return a * (a - 1) // 2, b * (b - 1) // 2, a * b, m * b, m * a, m * (m - 1) // 2
 
 
-def _close(counts: dict[str, int], closed: np.ndarray) -> None:
-    """Count each triangle, tallied by code in ``closed``, as its closed type
-    instead of the three wedges at its corners: dropping one dyad's two bits
-    leaves the wedge at the opposite corner."""
-    for code in np.flatnonzero(closed).tolist():
-        count = int(closed[code])
-        counts[_CODE_TO_NAME[code]] += count
-        for dyad in (3, 12, 48):
-            counts[_CODE_TO_NAME[code & ~dyad]] -= count
-
-
 def _entry_wedges(graph: CallGraph, degrees: tuple, members: np.ndarray,
                   width: int) -> np.ndarray:
-    """Per entry, by type in ``_WEDGE_TYPES`` order, the wedges holding one
+    """Per entry, by type in ``_WEDGE_COLUMNS`` order, the wedges holding one
     of its nodes: all wedges centred on them, and at each other neighbour y
     those that lose an arm when y's arms into them go. ``members`` holds the
     keys entry * n + position, ascending; their CSR slices are the arms, so
@@ -226,7 +222,7 @@ def _entry_wedges(graph: CallGraph, degrees: tuple, members: np.ndarray,
     _, ins, outs, mutual = np.bincount(group * 4 + graph.dyads[arm[outside]],
                                        minlength=4 * len(far)).reshape(-1, 4).T
     y = far % n
-    counts = np.zeros((width, len(_WEDGE_TYPES)), np.int64)
+    counts = np.zeros((width, len(_WEDGE_COLUMNS)), np.int64)
     np.add.at(counts, entry, np.column_stack(_wedges(a[x], b[x], m[x])))
     np.add.at(counts, far // n, np.column_stack(_wedges(a[y], b[y], m[y]))
               - np.column_stack(_wedges(a[y] - outs, b[y] - ins, m[y] - mutual)))

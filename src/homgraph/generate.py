@@ -28,6 +28,7 @@ from .model import (
     CallGraph,
     InputError,
     SensitiveApiCatalog,
+    apply_catalog,
     load_catalog,
 )
 
@@ -279,9 +280,6 @@ def generate_graph(
     names += [f"{catalog.entries[api_nodes[nid]]}()" if nid in api_nodes
               else f"com.synth.payload.Worker{pos}.run" for pos, nid in enumerate(planted)]
     flags = [nid in api_nodes for nid in range(spec.node_count)]
-    for name, flag in zip(names, flags):
-        if flag != (catalog.pattern.search(name) is not None):
-            raise InfeasibleSpecError(f"catalog entry collides with generated name {name!r}")
 
     # One arc per pair, in a random direction unless it is a forced caller arc.
     edges = [(u, v) if (u, v) in forced or rng.random() < 0.5 else (v, u)
@@ -289,6 +287,10 @@ def generate_graph(
 
     app_id = f"{label}-{index:04d}"
     graph = CallGraph.from_edges(app_id, range(spec.node_count), names, flags, edges, label)
+    found = apply_catalog(graph, catalog).sensitive.tolist()
+    for name, flag, flagged in zip(graph.names, graph.sensitive.tolist(), found):
+        if flag != flagged:
+            raise InfeasibleSpecError(f"catalog entry collides with generated name {name!r}")
     truth = PlantedTruth(
         app_id=app_id,
         label=label,

@@ -30,7 +30,7 @@ import numpy as np
 from . import community, homophily
 from .classify import LabeledSample
 from .features import featurize
-from .model import CallGraph, InputError, SensitiveApiCatalog, load_graph
+from .model import CallGraph, InputError, SensitiveApiCatalog, apply_catalog, load_graph
 
 logger = logging.getLogger(__name__)
 
@@ -96,20 +96,20 @@ def map_graphs(
     :func:`fork_map`; results in source order.
 
     Given file paths, each process loads its own share one file at a time,
-    so it holds one graph in memory. A file that cannot be read, or a graph
-    on which ``fn`` raises ``InputError``, is skipped with a warning, logged
-    here in source order after the run; the run fails only if no graph could
-    be read. Any other error is a fault and propagates.
+    so it holds one graph in memory. With ``catalog``, every graph, read or
+    given, is flagged by :func:`apply_catalog`; otherwise its own flags are
+    kept. A file that cannot be read, or a graph on which ``fn`` raises
+    ``InputError``, is skipped with a warning, logged here in source order
+    after the run; the run fails only if no graph could be read. Any other
+    error is a fault and propagates.
     """
     def run(source: CallGraph | str | Path) -> R | Skip:
-        graph = source
-        if not isinstance(graph, CallGraph):
-            try:
-                graph = load_graph(source, catalog)
-            except InputError as exc:
-                return Skip(False, f"skipping {source}: {exc}")
         try:
-            return fn(graph)
+            graph = source if isinstance(source, CallGraph) else load_graph(source)
+        except InputError as exc:
+            return Skip(False, f"skipping {source}: {exc}")
+        try:
+            return fn(graph if catalog is None else apply_catalog(graph, catalog))
         except InputError as exc:
             return Skip(True, f"skipping graph {graph.app_id!r}: {exc}")
 

@@ -26,8 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from homgraph.community import CommunityPartition
-from homgraph.features import _CODE_TO_NAME, SELECTED_TRIADS, TRIAD_NAMES
+from homgraph.features import _TRICODES, SELECTED_TRIADS, TRIAD_NAMES
 from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
+
+# The production code table, read as one triad name per 6-bit code.
+_CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
 
 
 def normalize(doc: dict) -> CallGraph:

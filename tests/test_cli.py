@@ -9,12 +9,13 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homgraph
 from homgraph import cli, community, generate, homophily, pipeline
 from homgraph.cli import build_parser, main, read_features_csv
-from homgraph.model import InputError, load_catalog, load_graph, serialize_graph
+from homgraph.model import InputError, load_catalog, load_graph, parse_catalog, serialize_graph
 
 from conftest import ProcessLog, make_graph
 
@@ -384,6 +385,22 @@ class TestAnalyze:
         (bad / "a.json").write_text("{")
         assert run("analyze", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    def test_graph_object_and_file_flagged_alike(self, tmp_path):
+        # The document flags the planted desk APIs; the catalog flags a
+        # benign module instead. The catalog decides for both kinds of source.
+        graph, _ = generate.generate_graph(generate.SyntheticSpec(seed=4), load_catalog(),
+                                           generate.MALWARE, 0)
+        path = tmp_path / "graph.json"
+        path.write_text(serialize_graph(graph))
+        catalog = parse_catalog("com.synth.app0.Module0\n")
+        from_object, from_file = (pipeline.analyze_corpus([source], catalog)[0]
+                                  for source in (graph, path))
+        assert from_object.report == from_file.report
+        assert np.array_equal(from_object.vectors[0], from_file.vectors[0])
+        suspicious = json.loads(from_file.report)["suspicious_nodes"]
+        assert len(suspicious) == 25
+        assert sum(graph.sensitive[graph.ids.index(i)] for i in suspicious) == 0
+
     def test_deterministic(self, tmp_path):
         corpus = gen_corpus(tmp_path)
         out1, out2 = tmp_path / "a1", tmp_path / "a2"
@@ -483,6 +500,18 @@ class TestEval:
         assert run("eval", "--features", str(analysis / "features.csv"),
                    "--catalog", str(tmp_path / "missing.txt"), "--out", str(out)) == 2
         assert "--catalog needs graph paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["7", "3"])
+    def test_threshold_requires_paths(self, eval_corpus, tmp_path, capsys, threshold):
+        # The features were extracted at the analyze run's threshold, so the
+        # report must not name another one, nor restate the default as chosen.
+        analysis = tmp_path / "analysis"
+        assert run("analyze", str(eval_corpus), "--out", str(analysis)) == 0
+        out = tmp_path / "eval.json"
+        assert run("eval", "--features", str(analysis / "features.csv"),
+                   "--threshold", threshold, "--out", str(out)) == 2
+        assert "--threshold needs graph paths" in capsys.readouterr().err
         assert not out.exists()
 
 
