@@ -6,16 +6,13 @@ from .classify import (
     LabeledSample,
     MetricsReport,
     cross_validate,
-    knn_predict,
     metrics,
     threshold_sweep,
 )
 from .community import (
     CommunityPartition,
-    compare_algorithms,
     detect_label_propagation,
     detect_multilevel,
-    detector_runs,
     modularity,
 )
 from .features import (
@@ -68,16 +65,13 @@ __all__ = [
     "TriadCensus",
     "analyze_corpus",
     "analyze_graph",
-    "compare_algorithms",
     "coupling",
     "covertness",
     "cross_validate",
     "detect_label_propagation",
     "detect_multilevel",
-    "detector_runs",
     "featurize",
     "generate_corpus",
-    "knn_predict",
     "load_catalog",
     "load_graph",
     "malicious_part",

@@ -98,22 +98,6 @@ def metrics(counts: ConfusionCounts) -> MetricsReport:
     return MetricsReport(tpr, fnr, tnr, fpr, accuracy, precision, recall, f_measure)
 
 
-def knn_predict(train: Sequence[LabeledSample], query: np.ndarray, k: int) -> str:
-    """Majority label among the k nearest training samples."""
-    if not train:
-        raise DatasetError("knn_predict needs a non-empty training set")
-    if not 1 <= k <= len(train):
-        raise DatasetError(f"k={k} out of range for training set of {len(train)}")
-    query = np.asarray(query, dtype=np.float64)
-    matrix = np.stack([s.vector for s in train]).astype(np.float64, copy=False)
-    if matrix.shape[1] != query.shape[0]:
-        raise DatasetError(
-            f"dimension mismatch: train {matrix.shape[1]}, query {query.shape[0]}"
-        )
-    labels = [s.label for s in train]
-    return _vote(_nearest_labels(matrix, labels, query, k))
-
-
 def _nearest_labels(
     matrix: np.ndarray, labels: Sequence[str], query: np.ndarray, k: int
 ) -> list[str]:
@@ -152,6 +136,8 @@ def cross_validate(
     dataset: Sequence[LabeledSample], folds: int, k: int, seed: int
 ) -> CrossValidationReport:
     """Stratified k-fold evaluation with macro-averaged rates."""
+    if k < 1:
+        raise DatasetError(f"k must be at least 1, got {k}")
     if len({s.vector.shape[0] for s in dataset}) > 1:
         raise DatasetError("all samples must share one vector dimension")
     present = {s.label for s in dataset}

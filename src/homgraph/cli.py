@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, communities, partition, covertness, analyze, eval.
+Subcommands: gen, partition, covertness, analyze, eval.
 Every subcommand is deterministic given its flags plus --seed: reruns
 produce byte-identical output files. Wall-clock numbers (which cannot be
 deterministic) go to stderr only.
@@ -130,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coupling target of benign sensitive communities")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_comm = sub.add_parser("communities", help="compare community detection algorithms")
-    _add_flags(p_comm, "--seed")
-    p_comm.add_argument("paths", nargs="+", metavar="GRAPH",
-                        help="graph documents or directories")
-    p_comm.set_defaults(func=cmd_communities)
-
     p_part = sub.add_parser("partition", help="partition one graph and report verdicts")
     _add_flags(p_part, *_ANALYSIS_FLAGS)
     p_part.add_argument("path", metavar="GRAPH")
@@ -204,28 +198,6 @@ def _write_graph(spec: generate.SyntheticSpec, catalog, label: str, index: int,
         "api_indices": list(truth.api_indices),
         "planted_coupling": truth.planted_coupling,
     }
-
-
-def cmd_communities(args: argparse.Namespace) -> int:
-    runs = pipeline.map_graphs(lambda g: community.detector_runs(g, args.seed),
-                               pipeline.graph_files(args.paths))
-    if not runs:
-        raise InputError("every graph in the corpus failed to analyze")
-    rows = community.compare_algorithms(runs)
-    for row in rows:
-        print(
-            f"{row.algorithm}: mean Q {row.mean_q:.4f}, "
-            f"mean runtime {row.mean_runtime_seconds * 1000:.1f} ms "
-            f"over {row.graph_count} graphs",
-            file=sys.stderr,
-        )
-    report = {
-        "graph_count": rows[0].graph_count,
-        "seed": args.seed,
-        "rows": [{"algorithm": r.algorithm, "mean_modularity_q": r.mean_q} for r in rows],
-    }
-    _emit(_json_text(report), args.out)
-    return EXIT_OK
 
 
 def cmd_partition(args: argparse.Namespace) -> int:

@@ -9,10 +9,8 @@ permutation and every tie breaks toward the smallest candidate id.
 from __future__ import annotations
 
 import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +22,6 @@ Q_IMPROVEMENT_TOL = 1e-7
 MAX_LABEL_SWEEPS = 100
 
 MULTILEVEL = "multilevel"
-LABEL_PROPAGATION = "label_propagation"
 
 
 class ModularityUndefinedError(ValueError):
@@ -53,14 +50,6 @@ class CommunityPartition:
         for nid, comm in zip(self.ids, self.labels.tolist()):
             groups.setdefault(comm, set()).add(nid)
         return [frozenset(groups[c]) for c in sorted(groups)]
-
-
-@dataclass(frozen=True)
-class AlgorithmComparison:
-    algorithm: str
-    mean_q: float
-    mean_runtime_seconds: float
-    graph_count: int
 
 
 def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
@@ -242,9 +231,10 @@ def _aggregate(
 def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     """Asynchronous label propagation on the undirected projection.
 
-    Each node adopts its most frequent neighbor label (ties to the smallest
-    label); sweeps run in seed-permuted order until a fixpoint or
-    ``MAX_LABEL_SWEEPS`` sweeps.
+    No analysis path runs it: it is the baseline that Louvain's modularity
+    is tested against, and the benchmark times it. Each node adopts its
+    most frequent neighbor label (ties to the smallest label); sweeps run
+    in seed-permuted order until a fixpoint or ``MAX_LABEL_SWEEPS`` sweeps.
     """
     neighbours = graph.neighbours()
     labels = list(range(len(neighbours)))  # by position: the smallest label is the smallest id
@@ -270,34 +260,3 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
         if not changed:
             break
     return _dense_partition(graph, labels)
-
-
-def detector_runs(graph: CallGraph, seed: int = 0) -> tuple[str, list[tuple[float, float]]]:
-    """The app id of ``graph`` and, for multilevel then label propagation,
-    the Q each detector reaches on it and its wall-clock seconds."""
-    runs = []
-    for detector in (detect_multilevel, detect_label_propagation):
-        start = time.perf_counter()
-        q = detector(graph, seed).modularity_q
-        runs.append((q, time.perf_counter() - start))
-    return graph.app_id, runs
-
-
-def compare_algorithms(
-    rows: Iterable[tuple[str, list[tuple[float, float]]]]
-) -> tuple[AlgorithmComparison, ...]:
-    """Mean Q and mean wall-clock runtime of each detector over the
-    :func:`detector_runs` rows of a corpus. Sums run in app id order
-    (stable), whatever order the rows arrive in."""
-    rows = sorted(rows, key=lambda row: row[0])
-    if not rows:
-        raise ValueError("compare_algorithms needs at least one graph")
-    n = len(rows)
-    comparisons = []
-    for i, name in enumerate((MULTILEVEL, LABEL_PROPAGATION)):
-        total_q = total_t = 0.0
-        for _, runs in rows:
-            total_q += runs[i][0]
-            total_t += runs[i][1]
-        comparisons.append(AlgorithmComparison(name, total_q / n, total_t / n, n))
-    return tuple(comparisons)

@@ -249,7 +249,6 @@ def test_criterion_9_cli_determinism(tmp_path):
         run("gen", "--benign", "3", "--covert", "3", "--seed", "11",
             "--out", str(corpus))
         covert = corpus / "malware-0000.json"
-        run("communities", str(corpus), "--out", str(base / "communities.json"))
         run("partition", str(covert), "--out", str(base / "partition.json"))
         run("covertness", str(covert), "--out", str(base / "covertness.json"))
         run("analyze", str(corpus), "--out", str(base / "analysis"))

@@ -9,8 +9,9 @@ from homgraph.classify import (
     ConfusionCounts,
     DatasetError,
     LabeledSample,
+    _nearest_labels,
+    _vote,
     cross_validate,
-    knn_predict,
     metrics,
     stratified_folds,
     threshold_sweep,
@@ -23,10 +24,30 @@ def sample(app_id, label, *coords):
     return LabeledSample(app_id, label, np.array(coords, dtype=np.float64))
 
 
+def nearest_vote(train, query, k):
+    """The kNN rule that ``cross_validate`` applies to each held-out sample."""
+    matrix = np.stack([s.vector for s in train])
+    labels = [s.label for s in train]
+    return _vote(_nearest_labels(matrix, labels, np.array(query, dtype=np.float64), k))
+
+
+def tied_dataset(first_label):
+    """Two samples per class, all at one point, ``first_label``'s listed first.
+
+    Under ``folds=2`` each fold trains on one sample of each class, in list
+    order, and every distance ties at 0.
+    """
+    other = MALWARE if first_label == BENIGN else BENIGN
+    return [sample(f"{label}{i}", label, 0.0, 0.0)
+            for label in (first_label, other) for i in range(2)]
+
+
 class TestKnnPredict:
+    """The kNN rule, on one query and through ``cross_validate``."""
+
     def test_exact_training_point(self):
         train = [sample("a", BENIGN, 0, 0), sample("b", MALWARE, 5, 5)]
-        assert knn_predict(train, np.array([0.0, 0.0]), k=1) == BENIGN
+        assert nearest_vote(train, [0.0, 0.0], k=1) == BENIGN
 
     def test_three_neighbor_vote(self):
         train = [
@@ -34,31 +55,47 @@ class TestKnnPredict:
             sample("b", MALWARE, 10, 10),
             sample("c", MALWARE, 10, 9),
         ]
-        assert knn_predict(train, np.array([9.0, 9.0]), k=3) == MALWARE
+        assert nearest_vote(train, [9.0, 9.0], k=3) == MALWARE
 
     def test_distance_tie_breaks_by_insertion_order(self):
         train = [sample("first", BENIGN, 1, 0), sample("second", MALWARE, -1, 0)]
-        assert knn_predict(train, np.array([0.0, 0.0]), k=1) == BENIGN
+        assert nearest_vote(train, [0.0, 0.0], k=1) == BENIGN
         flipped = [sample("first", MALWARE, 1, 0), sample("second", BENIGN, -1, 0)]
-        assert knn_predict(flipped, np.array([0.0, 0.0]), k=1) == MALWARE
+        assert nearest_vote(flipped, [0.0, 0.0], k=1) == MALWARE
+        # Every held-out sample takes the label of the first training sample.
+        report = cross_validate(tied_dataset(BENIGN), folds=2, k=1, seed=0)
+        assert report.micro_counts == ConfusionCounts(tp=0, tn=2, fp=0, fn=2)
+        report = cross_validate(tied_dataset(MALWARE), folds=2, k=1, seed=0)
+        assert report.micro_counts == ConfusionCounts(tp=2, tn=0, fp=2, fn=0)
 
     def test_vote_tie_breaks_toward_malware(self):
         train = [sample("a", BENIGN, 0, 1), sample("b", MALWARE, 3, 3)]
-        assert knn_predict(train, np.array([0.0, 0.0]), k=2) == MALWARE
+        assert nearest_vote(train, [0.0, 0.0], k=2) == MALWARE
+        # One neighbour of each class, whichever is listed first: malware.
+        for first in (BENIGN, MALWARE):
+            report = cross_validate(tied_dataset(first), folds=2, k=2, seed=0)
+            assert report.micro_counts == ConfusionCounts(tp=2, tn=0, fp=2, fn=0)
 
     def test_empty_training_set(self):
-        with pytest.raises(DatasetError):
-            knn_predict([], np.array([0.0]), k=1)
+        with pytest.raises(DatasetError, match="need both classes"):
+            cross_validate([], folds=2, k=1, seed=0)
 
     def test_k_out_of_range(self):
-        train = [sample("a", BENIGN, 0)]
-        with pytest.raises(DatasetError):
-            knn_predict(train, np.array([0.0]), k=2)
+        # k < 1 would vote among no training rows, or among all but the -k
+        # farthest; k above the smallest training fold is TestCrossValidate's.
+        data = cloud_dataset(per_class=4)
+        assert cross_validate(data, folds=2, k=1, seed=0).macro.accuracy == 1.0
+        for k in (0, -3):
+            with pytest.raises(DatasetError, match=f"k must be at least 1, got {k}"):
+                cross_validate(data, folds=2, k=k, seed=0)
+            with pytest.raises(DatasetError, match=f"k must be at least 1, got {k}"):
+                threshold_sweep([1.0], [data], k=k, folds=2)
 
     def test_dimension_mismatch(self):
-        train = [sample("a", BENIGN, 0, 0)]
+        # A wider malware row among two-value rows, as the query or in training.
+        data = [*tied_dataset(BENIGN), sample("wide", MALWARE, 0.0, 0.0, 0.0)]
         with pytest.raises(DatasetError, match="dimension"):
-            knn_predict(train, np.array([0.0]), k=1)
+            cross_validate(data, folds=2, k=1, seed=0)
 
 
 class TestMetrics:

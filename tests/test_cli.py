@@ -104,8 +104,10 @@ class TestGen:
 
 
 class TestUsageErrors:
-    def test_unknown_subcommand_exit_1(self):
+    def test_unknown_subcommand_exit_1(self, capsys):
         assert run("definitely-not-a-command") == 1
+        assert run("communities", "corpus") == 1
+        assert "invalid choice: 'communities'" in capsys.readouterr().err
 
     def test_no_subcommand_exit_1(self):
         assert run() == 1
@@ -151,7 +153,6 @@ FLAG_SURFACE = {
     "gen": {"--catalog", "--seed", "--out", "--benign", "--covert", "--nodes",
             "--communities", "--planted-size", "--intra-p", "--inter-p", "--apis",
             "--coupling-target", "--benign-coupling-target"},
-    "communities": {"--seed", "--out"},
     "partition": ANALYSIS_FLAGS,
     "analyze": ANALYSIS_FLAGS,
     "covertness": {"--catalog", "--hops", "--out"},
@@ -177,11 +178,10 @@ class TestFlagSurface:
     def test_every_subcommand_is_in_the_table(self):
         parsers = subparsers()
         assert set(parsers) == set(FLAG_SURFACE)
-        assert sum(len(option_strings(p)) for p in parsers.values()) == 34
+        assert sum(len(option_strings(p)) for p in parsers.values()) == 32
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--threshold", "3"],
-        ["communities", "g.json", "--catalog", "F"],
         ["covertness", "g.json", "--seed", "1"],
         ["partition", "g.json", "--k", "3"],
         ["analyze", "corpus", "--hops", "2"],
@@ -206,65 +206,6 @@ class TestFlagSurface:
         # The paths do not exist: the check runs before any input is read.
         assert run(*argv) == 2
         assert f"homgraph: error: {message}\n" == capsys.readouterr().err
-
-
-class TestCommunities:
-    def test_report_deterministic(self, tmp_path, capsys):
-        corpus = gen_corpus(tmp_path)
-        out1 = tmp_path / "comm1.json"
-        out2 = tmp_path / "comm2.json"
-        assert run("communities", str(corpus), "--out", str(out1)) == 0
-        assert run("communities", str(corpus), "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        report = json.loads(out1.read_text())
-        algos = [row["algorithm"] for row in report["rows"]]
-        assert algos == ["multilevel", "label_propagation"]
-        assert report["graph_count"] == 6
-        # wall-clock numbers stay out of the deterministic report file
-        assert b"runtime" not in out1.read_bytes()
-        assert "runtime" in capsys.readouterr().err
-
-    def test_one_graph_in_memory(self, tmp_path, monkeypatch):
-        corpus = gen_corpus(tmp_path)
-        alive = track_loads(monkeypatch, tmp_path)
-        assert run("communities", str(corpus), "--out", str(tmp_path / "comm.json")) == 0
-        assert alive.values() == [0] * 6
-
-    def test_path_order_does_not_change_report(self, tmp_path):
-        corpus = gen_corpus(tmp_path)
-        other = tmp_path / "other"
-        other.mkdir()
-        for path in sorted(corpus.glob("malware-*.json")):
-            path.rename(other / path.name)
-        out1, out2 = tmp_path / "comm1.json", tmp_path / "comm2.json"
-        assert run("communities", str(corpus), str(other), "--out", str(out1)) == 0
-        assert run("communities", str(other), str(corpus), "--out", str(out2)) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert json.loads(out1.read_text())["graph_count"] == 6
-
-    def test_error_precedence(self, tmp_path, monkeypatch, capsys, caplog):
-        corpus = gen_corpus(tmp_path)
-        junk = tmp_path / "junk"
-        junk.mkdir()
-        (junk / "a.json").write_text("{")
-        (junk / "b.json").write_text("[]")
-        capsys.readouterr()
-        assert run("communities", str(junk), "--out", str(tmp_path / "c1.json")) == 2
-        assert "no readable graph documents among 2 file(s)" in capsys.readouterr().err
-        out = tmp_path / "c2.json"
-        caplog.clear()
-        assert run("communities", str(junk), str(corpus), "--out", str(out)) == 0
-        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
-            f"skipping {junk / 'a.json'}", f"skipping {junk / 'b.json'}"]
-        assert json.loads(out.read_text())["graph_count"] == 6
-
-        def detect(*args):
-            raise InputError("synthetic bad input")
-
-        monkeypatch.setattr(community, "detect_multilevel", detect)
-        capsys.readouterr()
-        assert run("communities", str(junk), str(corpus), "--out", str(tmp_path / "c3")) == 2
-        assert "every graph in the corpus failed to analyze" in capsys.readouterr().err
 
 
 class TestPartition:

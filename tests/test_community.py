@@ -5,13 +5,10 @@ import pytest
 
 from homgraph import community, generate
 from homgraph.community import (
-    AlgorithmComparison,
     CommunityPartition,
     ModularityUndefinedError,
-    compare_algorithms,
     detect_label_propagation,
     detect_multilevel,
-    detector_runs,
     modularity,
 )
 from homgraph.homophily import partition_suspicious
@@ -414,37 +411,30 @@ class TestLabelPropagation:
                 assert part.modularity_q == pytest.approx(modularity(g, part), abs=1e-9)
 
 
+def mean_q(detect, graphs):
+    return sum(detect(g, 0).modularity_q for g in graphs) / len(graphs)
+
+
 class TestCompareAlgorithms:
+    """Louvain against label propagation, the baseline it must match."""
+
     def test_single_edgeless_graph(self):
-        rows = compare_algorithms(detector_runs(g, 0) for g in [make_graph(4, [])])
-        assert [r.algorithm for r in rows] == ["multilevel", "label_propagation"]
-        assert all(r.mean_q == 0.0 for r in rows)
+        g = make_graph(4, [])
+        assert [detect(g, 0).modularity_q
+                for detect in (detect_multilevel, detect_label_propagation)] == [0.0, 0.0]
 
     def test_clique_ring_corpus_q_range(self):
         rings = [triangle_ring(k) for k in range(4, 14)]
-        rows = compare_algorithms(detector_runs(g, 0) for g in rings)
-        for row in rows:
-            assert 0.3 <= row.mean_q <= 0.95
-            assert row.mean_runtime_seconds >= 0.0
+        for detect in (detect_multilevel, detect_label_propagation):
+            assert 0.3 <= mean_q(detect, rings) <= 0.95
 
     def test_multilevel_beats_label_propagation_on_structured_corpus(self):
         catalog = load_catalog()
         spec = generate.SyntheticSpec(
             node_count=412, community_count=16, planted_sensitive_community_size=12
         )
-        corpus = generate.generate_corpus(spec, 0, 100, catalog)
-        rows = compare_algorithms(detector_runs(g, 0) for g, _ in corpus)
-        rows = {r.algorithm: r for r in rows}
-        assert rows["multilevel"].mean_q >= rows["label_propagation"].mean_q
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            compare_algorithms(detector_runs(g, 0) for g in [])
-
-    def test_row_shape(self):
-        rows = compare_algorithms(detector_runs(g, 0) for g in [barbell()])
-        assert isinstance(rows[0], AlgorithmComparison)
-        assert rows[0].graph_count == 1
+        graphs = [g for g, _ in generate.generate_corpus(spec, 0, 100, catalog)]
+        assert mean_q(detect_multilevel, graphs) >= mean_q(detect_label_propagation, graphs)
 
 
 class TestPartitionCover:

@@ -37,7 +37,6 @@ def commands(root):
         ["eval", corpus, "--sweep", "1,3", "--folds", "3", "--out", root / "eval-sweep.json"],
         ["eval", "--features", root / "analyze" / "features.csv", "--folds", "3",
          "--out", root / "eval-features.json"],
-        ["communities", corpus, "--out", root / "communities.json"],
     ]
     for name in GRAPHS:
         stem = name.removesuffix(".json")
@@ -66,8 +65,6 @@ GOLDEN = {
         "a33c4b617544387b34b70a152bdd2b31d82da4148020801883a3bb0efe632e99",
     "analyze-1.5/partitions.json":
         "07b2ab6708b64f555b30ebd2801ad0098d656f5c4b0c75c833348bfc8b87dd4d",
-    "communities.json":
-        "522c1d7579af3d80f28cf73b16d6bb7792a82032a162436d004adc295f7dc222",
     "corpus/benign-0000.json":
         "494944c8eeb6968446ad4f5617046db4723f5ff5c593528ce2cf043635cbb0de",
     "corpus/benign-0001.json":
@@ -218,7 +215,6 @@ def shaped_commands(root):
          "--out", root / "analyze"],
         ["eval", corpus, "--catalog", catalog, "--sweep", "0.03,0.2,1", "--folds", "2",
          "--out", root / "eval-sweep.json"],
-        ["communities", corpus, "--out", root / "communities.json"],
         ["analyze", dense, "--catalog", catalog, "--out", root / "analyze-dense"],
     ]
     for index in (0, 1):
@@ -241,8 +237,6 @@ SHAPED_GOLDEN = {
         "4d2a7b0a759bafb86d0b75c6010de87f6cfd19cb0e244dbb3f7c8d7f0ac3c1a9",
     "catalog.txt":
         "46b802764a0f6e7e660d7f17d9f68021445d248231cd7858d1e0ce98e66878d3",
-    "communities.json":
-        "7d9b8f944e72285abb0cc0f48e3de7c363f084ba5aa7e2a9a1069a9d2269d022",
     "covertness-0.json":
         "28fa7f4275259452ffa086b8a09a58c3e4bb15b2bb2d2a409c51e57bdc0dad09",
     "covertness-1.json":

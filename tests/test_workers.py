@@ -1,9 +1,9 @@
 """Worker processes of the corpus commands (``pipeline.fork_map``).
 
-``gen``, ``communities``, ``analyze`` and ``eval`` run ``items[k::W]`` in
-process k, where process 0 is the command's own. Their output files, their
-skip warnings and their exit codes must not depend on W, and no worker may
-outlive the command. W is forced here by replacing ``pipeline.worker_count``.
+``gen``, ``analyze`` and ``eval`` run ``items[k::W]`` in process k, where
+process 0 is the command's own. Their output files, their skip warnings and
+their exit codes must not depend on W, and no worker may outlive the
+command. W is forced here by replacing ``pipeline.worker_count``.
 """
 
 import logging
@@ -195,7 +195,6 @@ def skip_corpus(tmp_path_factory):
 class TestWorkerCountDoesNotMatter:
     COMMANDS = {
         "gen": ["gen", "--benign", "4", "--covert", "4", "--seed", "5"],
-        "communities": ["communities", "{corpus}"],
         "analyze": ["analyze", "{corpus}"],
         "eval": ["eval", "{corpus}", "--sweep", "1,3", "--folds", "3"],
     }
