@@ -4,6 +4,9 @@ Both detectors run on the simple undirected projection of the directed
 call graph; edge direction is preserved elsewhere for triad analysis.
 Runs are deterministic given (graph, seed): visiting order is a seeded
 permutation and every tie breaks toward the smallest candidate id.
+Louvain holds every level as the graph holds level 0, a CSR of unit arcs
+(a pair of weight w is w arcs in each endpoint's row), so every weight sum
+is exact and no level holds more arcs than the graph.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CallGraph
+from .model import CallGraph, csr_rows
 
 # Stop a multilevel run once an aggregation pass improves Q by less than this.
 Q_IMPROVEMENT_TOL = 1e-7
@@ -110,28 +113,27 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     Alternates local moving (a node queue in seed-permuted order, only
     strictly improving moves, ties to the smallest community id, a mover's
     neighbours requeued) with graph aggregation until a pass improves Q by
-    at most ``Q_IMPROVEMENT_TOL``. Each pass is scored by ``_q`` on the
-    partition it induces on ``graph``, as ``modularity`` scores it, so the
-    last ``q_trace`` entry is the partition's Q bit for bit.
+    at most ``Q_IMPROVEMENT_TOL``, on unit-arc levels. Each pass is scored
+    by ``_q`` on the partition it induces on ``graph``, as ``modularity``
+    scores it, so the last ``q_trace`` entry is the partition's Q bit for bit.
     """
     n = graph.node_count
     if not graph.pair_count:
         return _dense_partition(graph, np.arange(n))
 
-    # Aggregated-graph state; weights are per unordered pair, self-loops once.
-    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbours()]
-    self_loop = [0.0] * n
-    total_w = float(graph.pair_count)
+    indptr, indices = graph.indptr, graph.indices
+    self_loop = np.zeros(n)  # per level node, each self-loop pair once
 
-    membership = np.arange(n)  # original node index -> current community label
+    membership = np.arange(n)  # original node index -> current level node
     rng = random.Random(seed)
     q_trace: list[float] = []
     prev_q = _q(graph, membership)
 
     while True:
-        comm = _local_moving(adj, self_loop, total_w, rng)
-        adj, self_loop, relabel = _aggregate(adj, self_loop, comm)
-        membership = np.array([relabel[c] for c in comm])[membership]
+        strength = (np.diff(indptr) + 2.0 * self_loop).tolist()
+        comm = _local_moving(csr_rows(indptr, indices), strength, graph.pair_count, rng)
+        indptr, indices, self_loop, super_node = _aggregate(indptr, indices, self_loop, comm)
+        membership = super_node[membership]
         q = _q(graph, membership)
         if not q >= prev_q - 1e-9:
             raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
@@ -143,13 +145,10 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     return _dense_partition(graph, membership, tuple(q_trace))
 
 
-def _local_moving(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
-    total_w: float,
-    rng: random.Random,
-) -> list[int]:
-    """One Louvain local-moving phase; returns the community label per node.
+def _local_moving(neighbours: list[list[int]], strength: list[float], total_w: float,
+                  rng: random.Random) -> list[int]:
+    """One Louvain local-moving phase on a level's unit-arc rows and node
+    strengths (arcs plus twice the self-loop); returns each node's label.
 
     Nodes are evaluated from a FIFO queue that starts with every node in one
     seeded order (Traag, Waltman & van Eck 2019). A node moves only on a
@@ -158,8 +157,7 @@ def _local_moving(
     the queue, whatever its community; the phase ends when the queue is
     empty.
     """
-    n = len(adj)
-    strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
+    n = len(neighbours)
     comm = list(range(n))
     comm_tot = strength[:]
     order = list(range(n))
@@ -174,9 +172,9 @@ def _local_moving(
         k_i = strength[i]
         old = comm[i]
         weights: dict[int, float] = {}
-        for j, w in adj[i].items():
+        for j in neighbours[i]:
             c = comm[j]
-            weights[c] = weights.get(c, 0.0) + w
+            weights[c] = weights.get(c, 0.0) + 1.0
         comm_tot[old] -= k_i
         stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
         # Moves need a strict improvement over staying; equal-gain
@@ -195,37 +193,34 @@ def _local_moving(
         comm_tot[best_comm] += k_i
         if best_comm != old:
             comm[i] = best_comm
-            for j in adj[i]:
+            for j in neighbours[i]:
                 if not queued[j]:
                     queued[j] = True
                     queue.append(j)
     return comm
 
 
-def _aggregate(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
-    comm: list[int],
-) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
-    """Collapse communities into super-nodes, summing edge weights."""
-    labels = sorted(set(comm))
-    relabel = {c: i for i, c in enumerate(labels)}
+def _aggregate(indptr: np.ndarray, indices: np.ndarray, self_loop: np.ndarray,
+               comm: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse communities into super-nodes numbered by ascending label: the
+    next unit-arc level (indptr, indices, self-loops) and each node's super-node.
+    Rows list partners in the order a scan of the upper arcs first meets them."""
+    labels, super_node = np.unique(comm, return_inverse=True)
     size = len(labels)
-    new_adj: list[dict[int, float]] = [{} for _ in range(size)]
-    new_loop = [0.0] * size
-    for i, nbrs in enumerate(adj):
-        ci = relabel[comm[i]]
-        new_loop[ci] += self_loop[i]
-        for j, w in nbrs.items():
-            if j < i:
-                continue
-            cj = relabel[comm[j]]
-            if ci == cj:
-                new_loop[ci] += w
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_loop, relabel
+    rows = np.repeat(np.arange(len(comm)), np.diff(indptr))
+    upper = rows < indices
+    ci, cj = super_node[rows[upper]], super_node[indices[upper]]
+    inner = ci == cj
+    new_loop = np.bincount(super_node, self_loop, size) + np.bincount(ci[inner], minlength=size)
+    ci, cj = ci[~inner], cj[~inner]
+    # Both directions of each arc, in scan order; first sightings order the rows.
+    keys, first, weight = np.unique(np.column_stack([ci * size + cj, cj * size + ci]).ravel(),
+                                    return_index=True, return_counts=True)
+    row, col = np.divmod(keys, size)
+    order = np.lexsort((first, row))
+    weight = weight[order]
+    new_indptr = np.searchsorted(np.repeat(row[order], weight), np.arange(size + 1))
+    return new_indptr, np.repeat(col[order], weight), new_loop, super_node
 
 
 def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartition:

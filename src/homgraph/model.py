@@ -64,6 +64,13 @@ class FunctionNode:
     sensitive: bool = False
 
 
+def csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Each row ``indices[indptr[i]:indptr[i + 1]]`` of a CSR, as a list."""
+    flat = indices.tolist()
+    ptr = indptr.tolist()
+    return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
+
+
 @dataclass(frozen=True, eq=False)
 class CallGraph:
     """Immutable, normalized directed call graph, as arrays over positions.
@@ -129,9 +136,7 @@ class CallGraph:
 
     def neighbours(self) -> list[list[int]]:
         """Each position's neighbour positions, ascending."""
-        flat = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
+        return csr_rows(self.indptr, self.indices)
 
     @cached_property
     def arcs(self) -> np.ndarray:

@@ -11,21 +11,30 @@ from every edge of the level, and a second census classifies every
 connected triple one at a time with the production code table. Graphs are
 normalized in plain passes over nodes and edges rather than while parsing,
 and every neighbour set is built here from ``graph.edges``, never read from
-production's CSR index arrays. Production passes node positions and
-masks between stages; the id conversions tests need to state expectations
-in ids live here too, as plain lookups over ``graph.ids``.
+production's CSR index arrays, except level 0 of ``dict_level_multilevel``:
+that Louvain holds each level as per-node weight dicts, starting from
+``graph.neighbours()``, and is the identity reference for production's
+unit-arc levels. Production passes node positions and masks between
+stages; the id conversions tests need to state expectations in ids live
+here too, as plain lookups over ``graph.ids``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from homgraph.community import CommunityPartition
+from homgraph.community import (
+    Q_IMPROVEMENT_TOL,
+    CommunityPartition,
+    _dense_partition,
+    _q,
+)
 from homgraph.features import _TRICODES, SELECTED_TRIADS, TRIAD_NAMES
 from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
 
@@ -331,8 +340,8 @@ def brute_reverse_reach(graph: CallGraph, sources, hops: int) -> set[int]:
 
 
 def full_sweep_local_moving(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
+    neighbours: list[list[int]],
+    strength: list[float],
     total_w: float,
     rng: random.Random,
 ) -> list[int]:
@@ -340,12 +349,11 @@ def full_sweep_local_moving(
     until a sweep moves none (Blondel et al. 2008).
 
     The quality reference for the queue in ``community._local_moving``: the
-    same seeded order, drawn with the same single shuffle, and the same gains
-    and tie-breaks, but it ends only at a fixpoint where no node can
-    strictly improve.
+    same unit-arc level, the same seeded order, drawn with the same single
+    shuffle, and the same gains and tie-breaks, but it ends only at a
+    fixpoint where no node can strictly improve.
     """
-    n = len(adj)
-    strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
+    n = len(neighbours)
     comm = list(range(n))
     comm_tot = strength[:]
     order = list(range(n))
@@ -359,9 +367,9 @@ def full_sweep_local_moving(
             k_i = strength[i]
             old = comm[i]
             weights: dict[int, float] = {}
-            for j, w in adj[i].items():
+            for j in neighbours[i]:
                 c = comm[j]
-                weights[c] = weights.get(c, 0.0) + w
+                weights[c] = weights.get(c, 0.0) + 1.0
             comm_tot[old] -= k_i
             stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
             # Moves need a strict improvement over staying; equal-gain
@@ -385,40 +393,165 @@ def full_sweep_local_moving(
 
 
 def level_totals(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
+    neighbours: list[list[int]],
+    strength: list[float],
     comm: list[int],
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Internal weight and degree of each community of one weighted Louvain
-    level, by edge scan, keyed in order of first appearance in ``comm``."""
+    """Internal weight and degree of each community of one unit-arc Louvain
+    level, by arc scan, keyed in order of first appearance in ``comm``.
+    A node's self-loop weight is half of its strength beyond its arcs."""
     intra: dict[int, float] = {}
     deg: dict[int, float] = {}
-    for i, nbrs in enumerate(adj):
+    for i, nbrs in enumerate(neighbours):
         c = comm[i]
-        deg[c] = deg.get(c, 0.0) + sum(nbrs.values()) + 2.0 * self_loop[i]
-        intra[c] = intra.get(c, 0.0) + self_loop[i]
-        for j, w in nbrs.items():
+        deg[c] = deg.get(c, 0.0) + strength[i]
+        intra[c] = intra.get(c, 0.0) + (strength[i] - len(nbrs)) / 2
+        for j in nbrs:
             if j > i and comm[j] == c:
-                intra[c] += w
+                intra[c] += 1.0
     return intra, deg
 
 
 def weighted_q(
-    adj: list[dict[int, float]],
-    self_loop: list[float],
+    neighbours: list[list[int]],
+    strength: list[float],
     comm: list[int],
     total_w: float,
 ) -> float:
-    """Modularity of a labeling on one weighted Louvain level, by edge scan.
+    """Modularity of a labeling on one unit-arc Louvain level, by arc scan.
 
     Aggregation keeps each community's internal weight and degree, so this
     equals the Q of the partition the labeling induces on the original
     graph, up to the order of the sum (communities here are summed in order
     of first appearance in ``comm``).
     """
-    intra, deg = level_totals(adj, self_loop, comm)
+    intra, deg = level_totals(neighbours, strength, comm)
     q = 0.0
     two_w = 2.0 * total_w
     for c, d in deg.items():
         q += intra[c] / total_w - (d / two_w) ** 2
     return q
+
+
+def dict_level_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
+    """Louvain with every level held as one weight dict per node: the
+    identity reference for ``community.detect_multilevel``, which holds
+    levels as unit-arc CSRs.
+
+    Each node's dict lists its neighbours in the order aggregation first
+    met them, with one float weight per pair; the local move, its queue and
+    its tie-breaks are the production routine's. Passes are scored with the
+    production ``_q`` and relabelled with ``_dense_partition``.
+    """
+    n = graph.node_count
+    if not graph.pair_count:
+        return _dense_partition(graph, np.arange(n))
+
+    # Aggregated-graph state; weights are per unordered pair, self-loops once.
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbours()]
+    self_loop = [0.0] * n
+    total_w = float(graph.pair_count)
+
+    membership = np.arange(n)  # original node index -> current community label
+    rng = random.Random(seed)
+    q_trace: list[float] = []
+    prev_q = _q(graph, membership)
+
+    while True:
+        comm = _dict_local_moving(adj, self_loop, total_w, rng)
+        adj, self_loop, relabel = _dict_aggregate(adj, self_loop, comm)
+        membership = np.array([relabel[c] for c in comm])[membership]
+        q = _q(graph, membership)
+        if not q >= prev_q - 1e-9:
+            raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
+        q_trace.append(q)
+        if q - prev_q <= Q_IMPROVEMENT_TOL:
+            break
+        prev_q = q
+
+    return _dense_partition(graph, membership, tuple(q_trace))
+
+
+def _dict_local_moving(
+    adj: list[dict[int, float]],
+    self_loop: list[float],
+    total_w: float,
+    rng: random.Random,
+) -> list[int]:
+    """One Louvain local-moving phase; returns the community label per node.
+
+    Nodes are evaluated from a FIFO queue that starts with every node in one
+    seeded order (Traag, Waltman & van Eck 2019). A node moves only on a
+    strict improvement over staying, ties going to the smallest community
+    id. After a move, every neighbour not already queued joins the back of
+    the queue, whatever its community; the phase ends when the queue is
+    empty.
+    """
+    n = len(adj)
+    strength = [sum(adj[i].values()) + 2.0 * self_loop[i] for i in range(n)]
+    comm = list(range(n))
+    comm_tot = strength[:]
+    order = list(range(n))
+    rng.shuffle(order)
+    two_w = 2.0 * total_w
+    queue = deque(order)
+    queued = [True] * n
+
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        k_i = strength[i]
+        old = comm[i]
+        weights: dict[int, float] = {}
+        for j, w in adj[i].items():
+            c = comm[j]
+            weights[c] = weights.get(c, 0.0) + w
+        comm_tot[old] -= k_i
+        stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
+        # Moves need a strict improvement over staying; equal-gain
+        # candidate communities tie-break to the smallest id.
+        best_comm = old
+        best_gain = stay_gain
+        for c, w in weights.items():
+            if c == old:
+                continue
+            gain = w - comm_tot[c] * k_i / two_w
+            if gain > best_gain + 1e-12 or (
+                best_comm != old and abs(gain - best_gain) <= 1e-12 and c < best_comm
+            ):
+                best_gain = gain
+                best_comm = c
+        comm_tot[best_comm] += k_i
+        if best_comm != old:
+            comm[i] = best_comm
+            for j in adj[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+    return comm
+
+
+def _dict_aggregate(
+    adj: list[dict[int, float]],
+    self_loop: list[float],
+    comm: list[int],
+) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
+    """Collapse communities into super-nodes, summing edge weights."""
+    labels = sorted(set(comm))
+    relabel = {c: i for i, c in enumerate(labels)}
+    size = len(labels)
+    new_adj: list[dict[int, float]] = [{} for _ in range(size)]
+    new_loop = [0.0] * size
+    for i, nbrs in enumerate(adj):
+        ci = relabel[comm[i]]
+        new_loop[ci] += self_loop[i]
+        for j, w in nbrs.items():
+            if j < i:
+                continue
+            cj = relabel[comm[j]]
+            if ci == cj:
+                new_loop[ci] += w
+            else:
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    return new_adj, new_loop, relabel

@@ -12,10 +12,11 @@ from homgraph.community import (
     modularity,
 )
 from homgraph.homophily import partition_suspicious
-from homgraph.model import load_catalog
+from homgraph.model import csr_rows, load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
 from oracles import (
+    dict_level_multilevel,
     full_sweep_local_moving,
     level_totals,
     partition_of,
@@ -119,8 +120,8 @@ class TestMultilevel:
     def test_decreasing_local_move_is_internal_error(self, monkeypatch):
         # A path split into alternating communities has no internal edge, so
         # its Q is below the singletons' Q; the check must survive python -O.
-        def alternate(adj, self_loop, total_w, rng):
-            return [i % 2 for i in range(len(adj))]
+        def alternate(neighbours, strength, total_w, rng):
+            return [i % 2 for i in range(len(neighbours))]
 
         monkeypatch.setattr(community, "_local_moving", alternate)
         with pytest.raises(RuntimeError, match="decreased modularity"):
@@ -153,19 +154,30 @@ class TestMultilevel:
 
 
 def random_weighted_level(rng):
-    """adj/self_loop state with integer weights, self-loops and isolated nodes.
+    """A unit-arc level (indptr, indices, self_loop) with integer weights,
+    self-loops and isolated nodes.
 
-    Neighbours are inserted in shuffled order, as aggregation leaves them.
+    A pair of weight w is w arcs in each endpoint's row. Pairs are inserted
+    in shuffled order, as aggregation leaves them.
     """
     n = rng.randint(1, 80)
     p = rng.choice((0.03, 0.08, 0.2, 0.5))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     rng.shuffle(pairs)
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
-        adj[u][v] = adj[v][u] = float(rng.randint(1, 5))
+        w = rng.randint(1, 5)
+        rows[u] += [v] * w
+        rows[v] += [u] * w
     self_loop = [float(rng.randint(1, 4)) if rng.random() < 0.2 else 0.0 for _ in range(n)]
-    return adj, self_loop
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr, np.array([j for row in rows for j in row], np.int64), np.array(self_loop)
+
+
+def level_lists(indptr, indices, self_loop):
+    """What local moving reads of a unit-arc level: each node's row as a list,
+    and its strength (arc count plus twice its self-loop)."""
+    return csr_rows(indptr, indices), (np.diff(indptr) + 2.0 * self_loop).tolist()
 
 
 def copy_rng(rng):
@@ -174,19 +186,19 @@ def copy_rng(rng):
     return twin
 
 
-def checked_level(local_moving, adj, self_loop, total_w, rng):
+def checked_level(local_moving, neighbours, strength, total_w, rng):
     """Run ``local_moving`` on one level and check it against a twin run and
     the exact routine: the same labels and rng state from a copied rng, one
     shuffle drawn as the exact routine draws it, and no lower Q than the
     singleton labelling."""
     twin, reference_rng = copy_rng(rng), copy_rng(rng)
-    comm = local_moving(adj, self_loop, total_w, rng)
-    assert comm == local_moving(adj, self_loop, total_w, twin)
-    full_sweep_local_moving(adj, self_loop, total_w, reference_rng)
+    comm = local_moving(neighbours, strength, total_w, rng)
+    assert comm == local_moving(neighbours, strength, total_w, twin)
+    full_sweep_local_moving(neighbours, strength, total_w, reference_rng)
     assert rng.getstate() == twin.getstate() == reference_rng.getstate()
-    singletons = list(range(len(adj)))
-    assert weighted_q(adj, self_loop, comm, total_w) >= weighted_q(
-        adj, self_loop, singletons, total_w)
+    singletons = list(range(len(neighbours)))
+    assert weighted_q(neighbours, strength, comm, total_w) >= weighted_q(
+        neighbours, strength, singletons, total_w)
     return comm
 
 
@@ -199,20 +211,22 @@ class TestLocalMovingQueue:
         cases = aggregated = levels_with_self_loops = 0
         for case in range(240):
             rng = random.Random(case)
-            adj, self_loop = random_weighted_level(rng)
-            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
-            total_w = upper + sum(self_loop)
+            indptr, indices, self_loop = random_weighted_level(rng)
+            neighbours, strength = level_lists(indptr, indices, self_loop)
+            total_w = sum(strength) / 2
             if total_w == 0:
                 continue
             cases += 1
             level_rng = random.Random(case)
             while True:
-                comm = checked_level(community._local_moving, adj, self_loop, total_w,
+                comm = checked_level(community._local_moving, neighbours, strength, total_w,
                                      level_rng)
                 levels_with_self_loops += any(self_loop)
-                if len(set(comm)) == len(adj):
+                if len(set(comm)) == len(neighbours):
                     break
-                adj, self_loop, _ = community._aggregate(adj, self_loop, comm)
+                indptr, indices, self_loop, _ = community._aggregate(indptr, indices,
+                                                                     self_loop, comm)
+                neighbours, strength = level_lists(indptr, indices, self_loop)
                 aggregated += 1
         assert cases >= 200 and aggregated >= 200 and levels_with_self_loops >= 100
 
@@ -220,10 +234,10 @@ class TestLocalMovingQueue:
         production = community._local_moving
         levels_with_self_loops = 0
 
-        def checked(adj, self_loop, total_w, rng):
+        def checked(neighbours, strength, total_w, rng):
             nonlocal levels_with_self_loops
-            levels_with_self_loops += any(self_loop)
-            return checked_level(production, adj, self_loop, total_w, rng)
+            levels_with_self_loops += any(k != len(nbrs) for nbrs, k in zip(neighbours, strength))
+            return checked_level(production, neighbours, strength, total_w, rng)
 
         monkeypatch.setattr(community, "_local_moving", checked)
         rng = random.Random(31)
@@ -304,13 +318,14 @@ class TestPassQ:
         memberships: list[list[int]] = []  # per pass: position -> level node
         level_qs: list[float] = []
 
-        def recorded(adj, self_loop, comm):
-            new_adj, new_loop, relabel = production(adj, self_loop, comm)
+        def recorded(indptr, indices, self_loop, comm):
+            aggregated = production(indptr, indices, self_loop, comm)
+            super_node = aggregated[-1].tolist()
             previous = memberships[-1] if memberships else range(len(comm))
-            memberships.append([relabel[comm[node]] for node in previous])
-            upper = sum(w for i, nbrs in enumerate(adj) for j, w in nbrs.items() if j > i)
-            level_qs.append(weighted_q(adj, self_loop, comm, upper + sum(self_loop)))
-            return new_adj, new_loop, relabel
+            memberships.append([super_node[node] for node in previous])
+            neighbours, strength = level_lists(indptr, indices, self_loop)
+            level_qs.append(weighted_q(neighbours, strength, comm, sum(strength) / 2))
+            return aggregated
 
         monkeypatch.setattr(community, "_aggregate", recorded)
         rng = random.Random(37)
@@ -336,16 +351,120 @@ class TestPassQ:
     def test_aggregate_keeps_internal_weight_and_degree(self):
         for case in range(240):
             rng = random.Random(case)
-            adj, self_loop = random_weighted_level(rng)
-            n = len(adj)
+            indptr, indices, self_loop = random_weighted_level(rng)
+            n = len(self_loop)
             comm = [rng.randrange(max(1, n // 3)) for _ in range(n)]
-            new_adj, new_loop, relabel = community._aggregate(adj, self_loop, comm)
-            assert sorted(relabel.values()) == list(range(len(new_adj)))
-            intra, degree = level_totals(adj, self_loop, comm)
+            new_ptr, new_indices, new_loop, super_node = community._aggregate(
+                indptr, indices, self_loop, comm)
+            relabel = dict(zip(comm, super_node.tolist()))
+            assert super_node.tolist() == [relabel[c] for c in comm]
+            assert sorted(relabel.values()) == list(range(len(new_loop)))
+            new_rows = csr_rows(new_ptr, new_indices)
+            intra, degree = level_totals(*level_lists(indptr, indices, self_loop), comm)
             for c, k in relabel.items():
-                assert k not in new_adj[k]
+                assert k not in new_rows[k]
                 assert new_loop[k] == intra[c]
-                assert sum(new_adj[k].values()) + 2.0 * new_loop[k] == degree[c]
+                assert len(new_rows[k]) + 2.0 * new_loop[k] == degree[c]
+
+
+def random_graphs(count, seed):
+    """``count`` (graph, detect seed) cases: random digraphs of 5-120 nodes at
+    arc probability 0.02-0.3 whose last 0-3 nodes are isolated, with detect
+    seeds 0-2 in turn."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n, isolated = rng.randint(5, 120), rng.randint(0, 3)
+        p = rng.uniform(0.02, 0.3)
+        edges = [(u, v) for u in range(n - isolated) for v in range(n - isolated)
+                 if u != v and rng.random() < p]
+        yield make_graph(n, edges), case % 3
+
+
+def planted_groups(groups, size, p_in, p_out, seed=0):
+    """A random digraph of ``groups`` blocks of ``size`` nodes: an arc with
+    probability ``p_in`` inside a block and ``p_out`` between blocks, so
+    the aggregated levels carry heavy pair weights."""
+    rng = random.Random(seed)
+    n = groups * size
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if u != v and rng.random() < (p_in if u // size == v // size else p_out)]
+    return make_graph(n, edges, app_id=f"planted-{groups}x{size}")
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return [planted_groups(20, 30, 0.9, 0.1), planted_groups(40, 25, 0.8, 0.05)]
+
+
+def assert_dict_level_identity(graph, seed, part=None):
+    """``part`` (by default ``detect_multilevel(graph, seed)``) equals the
+    dict-level Louvain's partition in labels, Q trace, Q and count."""
+    part = part or detect_multilevel(graph, seed)
+    expected = dict_level_multilevel(graph, seed)
+    assert np.array_equal(part.labels, expected.labels), (graph.app_id, seed)
+    assert part.q_trace == expected.q_trace
+    assert part.modularity_q == expected.modularity_q
+    assert part.community_count == expected.community_count
+
+
+class TestDictLevelIdentity:
+    """Unit-arc levels give the dict-level Louvain's partitions bit for bit:
+    each candidate community enters the gain dict in the same order, and
+    every weight sum is an exact integer."""
+
+    def test_random_digraphs(self):
+        cases = with_isolated = multi_level = 0
+        for g, seed in random_graphs(1200, 43):
+            part = detect_multilevel(g, seed)
+            assert_dict_level_identity(g, seed, part)
+            cases += 1
+            with_isolated += bool((np.diff(g.indptr) == 0).any())
+            multi_level += len(part.q_trace) > 1
+        assert cases == 1200 and with_isolated >= 600 and multi_level >= 600
+
+    def test_generated_corpora(self, generated_corpora, queue_partitions):
+        for corpus, per_seed in zip(generated_corpora, queue_partitions):
+            for seed, parts in zip(DETECT_SEEDS, per_seed):
+                for g, part in zip(corpus, parts):
+                    assert_dict_level_identity(g, seed, part)
+
+    def test_sparse_ids(self, generated_corpora):
+        graphs = [g for g, _ in random_graphs(100, 47)] + generated_corpora[0][:6]
+        for k, g in enumerate(graphs):
+            sparse, _ = with_sparse_ids(g, k)
+            assert max(sparse.ids) >= 2**63
+            assert_dict_level_identity(sparse, k % 3)
+
+    def test_planted_groups(self, planted):
+        for g in planted:
+            for seed in (0, 1):
+                assert_dict_level_identity(g, seed)
+
+
+class TestLevelCost:
+    """A unit-arc level costs no more than level 0: aggregation keeps the
+    total weight, so arcs plus twice the self-loops stay 2 x pair_count."""
+
+    def test_no_level_holds_more_arcs_than_the_graph(self, monkeypatch, planted):
+        production = community._aggregate
+        levels = []
+
+        def recorded(indptr, indices, self_loop, comm):
+            aggregated = production(indptr, indices, self_loop, comm)
+            levels.extend([(indptr, indices, self_loop), aggregated[:3]])
+            return aggregated
+
+        monkeypatch.setattr(community, "_aggregate", recorded)
+        checked = 0
+        for g in [g for g, _ in random_graphs(300, 53)] + planted:
+            levels.clear()
+            detect_multilevel(g)
+            for indptr, indices, self_loop in levels:
+                assert indptr[0] == 0 and indptr[-1] == len(indices)
+                assert len(indices) + 2 * self_loop.sum() == 2 * g.pair_count
+                assert len(indices) <= 2 * g.pair_count
+                checked += 1
+        assert checked >= 600
 
 
 class TestNetworkxModularity:
