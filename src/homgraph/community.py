@@ -5,8 +5,8 @@ call graph; edge direction is preserved elsewhere for triad analysis.
 Runs are deterministic given (graph, seed): visiting order is a seeded
 permutation and every tie breaks toward the smallest candidate id.
 Louvain holds every level as the graph holds level 0, a CSR of unit arcs
-(a pair of weight w is w arcs in each endpoint's row), so every weight sum
-is exact and no level holds more arcs than the graph.
+(a pair of weight w is w arcs in each endpoint's row), so no level holds
+more arcs than the graph. Its weights, totals and gains are exact integers.
 """
 
 from __future__ import annotations
@@ -74,18 +74,28 @@ def modularity(graph: CallGraph, partition: CommunityPartition) -> float:
 
 def _q(graph: CallGraph, labels: np.ndarray) -> float:
     """Modularity of per-position community labels, each in [0, node count),
-    on a graph with edges. Communities are summed in order of first
-    appearance over the sorted undirected edges; every term is
-    integer-valued, so only that order can touch the last bit."""
-    upper = graph.rows < graph.indices
-    ends = labels[np.column_stack([graph.rows[upper], graph.indices[upper]]).ravel()]
+    on a graph with edges."""
+    ends = labels[_scan(graph)]
     cu, cv = ends[0::2], ends[1::2]
     intra = np.bincount(cu[cu == cv], minlength=len(labels))
     degree = np.bincount(labels[graph.rows], minlength=len(labels))
-    first = np.full(len(labels), len(ends))
+    return _q_sum(intra, degree, ends, graph.pair_count)
+
+
+def _scan(graph: CallGraph) -> np.ndarray:
+    """The positions at both ends of each undirected edge, edges sorted."""
+    upper = graph.rows < graph.indices
+    return np.column_stack([graph.rows[upper], graph.indices[upper]]).ravel()
+
+
+def _q_sum(intra: np.ndarray, degree: np.ndarray, ends: np.ndarray, m: int) -> float:
+    """Q from integer intra pairs e_c and degrees d_c indexed by community:
+    e_c / m - (d_c / 2m)^2 summed in order of first appearance in ``ends``
+    (the community at each ``_scan`` end). Only that order can touch the last
+    bit, so ``modularity`` and every Louvain pass agree bit for bit."""
+    first = np.full(len(intra), len(ends))
     np.minimum.at(first, ends, np.arange(len(ends)))
     order = np.argsort(first)[:np.count_nonzero(first < len(ends))]
-    m = graph.pair_count
     two_m = 2.0 * m
     q = 0.0
     for e_c, d_c in zip(intra[order].tolist(), degree[order].tolist()):
@@ -113,28 +123,32 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     Alternates local moving (a node queue in seed-permuted order, only
     strictly improving moves, ties to the smallest community id, a mover's
     neighbours requeued) with graph aggregation until a pass improves Q by
-    at most ``Q_IMPROVEMENT_TOL``, on unit-arc levels. Each pass is scored
-    by ``_q`` on the partition it induces on ``graph``, as ``modularity``
-    scores it, so the last ``q_trace`` entry is the partition's Q bit for bit.
+    at most ``Q_IMPROVEMENT_TOL``, on unit-arc levels with integer
+    self-loops and strengths. Each pass is scored from the level it builds,
+    whose self-loops and strengths are its communities' intra pairs and
+    degrees on ``graph``, summed in ``modularity``'s order, so the last
+    ``q_trace`` entry is the partition's Q bit for bit.
     """
-    n = graph.node_count
-    if not graph.pair_count:
+    n, m = graph.node_count, graph.pair_count
+    if not m:
         return _dense_partition(graph, np.arange(n))
 
     indptr, indices = graph.indptr, graph.indices
-    self_loop = np.zeros(n)  # per level node, each self-loop pair once
+    self_loop = np.zeros(n, np.int64)  # per level node, each self-loop pair once
+    strength = np.diff(indptr) + 2 * self_loop
 
     membership = np.arange(n)  # original node index -> current level node
+    scan = _scan(graph)
     rng = random.Random(seed)
     q_trace: list[float] = []
-    prev_q = _q(graph, membership)
+    prev_q = _q_sum(self_loop, strength, scan, m)
 
     while True:
-        strength = (np.diff(indptr) + 2.0 * self_loop).tolist()
-        comm = _local_moving(csr_rows(indptr, indices), strength, graph.pair_count, rng)
+        comm = _local_moving(csr_rows(indptr, indices), strength.tolist(), m, rng)
         indptr, indices, self_loop, super_node = _aggregate(indptr, indices, self_loop, comm)
         membership = super_node[membership]
-        q = _q(graph, membership)
+        strength = np.diff(indptr) + 2 * self_loop
+        q = _q_sum(self_loop, strength, membership[scan], m)
         if not q >= prev_q - 1e-9:
             raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
         q_trace.append(q)
@@ -145,10 +159,11 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     return _dense_partition(graph, membership, tuple(q_trace))
 
 
-def _local_moving(neighbours: list[list[int]], strength: list[float], total_w: float,
+def _local_moving(neighbours: list[list[int]], strength: list[int], total_w: int,
                   rng: random.Random) -> list[int]:
-    """One Louvain local-moving phase on a level's unit-arc rows and node
-    strengths (arcs plus twice the self-loop); returns each node's label.
+    """One Louvain local-moving phase on a level's unit-arc rows, integer
+    node strengths (arcs plus twice the self-loop) and the graph's pair
+    count m (``total_w``); returns each node's label.
 
     Nodes are evaluated from a FIFO queue that starts with every node in one
     seeded order (Traag, Waltman & van Eck 2019). A node moves only on a
@@ -156,13 +171,20 @@ def _local_moving(neighbours: list[list[int]], strength: list[float], total_w: f
     id. After a move, every neighbour not already queued joins the back of
     the queue, whatever its community; the phase ends when the queue is
     empty.
+
+    Moving node i of strength k into community c (strength tot without i,
+    w arcs from i) changes Q by (w - tot * k / 2m) / m. The phase compares
+    G = 2m * w - tot * k, 2m^2 times that change and an exact integer, so a
+    tie is an exact equality. A float rule comparing w - tot * k / 2m
+    (distinct values at least 1 / 2m apart) within 1e-12 picks the same
+    moves only while its rounding stays below 1e-12.
     """
     n = len(neighbours)
     comm = list(range(n))
     comm_tot = strength[:]
     order = list(range(n))
     rng.shuffle(order)
-    two_w = 2.0 * total_w
+    two_w = 2 * total_w
     queue = deque(order)
     queued = [True] * n
 
@@ -171,23 +193,16 @@ def _local_moving(neighbours: list[list[int]], strength: list[float], total_w: f
         queued[i] = False
         k_i = strength[i]
         old = comm[i]
-        weights: dict[int, float] = {}
+        weights: dict[int, int] = {}  # community -> 2m times i's arcs into it
         for j in neighbours[i]:
             c = comm[j]
-            weights[c] = weights.get(c, 0.0) + 1.0
+            weights[c] = weights.get(c, 0) + two_w
         comm_tot[old] -= k_i
-        stay_gain = weights.get(old, 0.0) - comm_tot[old] * k_i / two_w
-        # Moves need a strict improvement over staying; equal-gain
-        # candidate communities tie-break to the smallest id.
         best_comm = old
-        best_gain = stay_gain
-        for c, w in weights.items():
-            if c == old:
-                continue
-            gain = w - comm_tot[c] * k_i / two_w
-            if gain > best_gain + 1e-12 or (
-                best_comm != old and abs(gain - best_gain) <= 1e-12 and c < best_comm
-            ):
+        best_gain = weights.get(old, 0) - comm_tot[old] * k_i
+        for c, w in weights.items():  # old itself never beats staying
+            gain = w - comm_tot[c] * k_i
+            if gain > best_gain or (gain == best_gain and best_comm != old and c < best_comm):
                 best_gain = gain
                 best_comm = c
         comm_tot[best_comm] += k_i
@@ -211,7 +226,9 @@ def _aggregate(indptr: np.ndarray, indices: np.ndarray, self_loop: np.ndarray,
     upper = rows < indices
     ci, cj = super_node[rows[upper]], super_node[indices[upper]]
     inner = ci == cj
-    new_loop = np.bincount(super_node, self_loop, size) + np.bincount(ci[inner], minlength=size)
+    new_loop = np.zeros(size, self_loop.dtype)  # a weighted bincount would be float64
+    np.add.at(new_loop, super_node, self_loop)
+    new_loop += np.bincount(ci[inner], minlength=size)
     ci, cj = ci[~inner], cj[~inner]
     # Both directions of each arc, in scan order; first sightings order the rows.
     keys, first, weight = np.unique(np.column_stack([ci * size + cj, cj * size + ci]).ravel(),

@@ -14,9 +14,9 @@ and every neighbour set is built here from ``graph.edges``, never read from
 production's CSR index arrays, except level 0 of ``dict_level_multilevel``:
 that Louvain holds each level as per-node weight dicts, starting from
 ``graph.neighbours()``, and is the identity reference for production's
-unit-arc levels. Production passes node positions and masks between
-stages; the id conversions tests need to state expectations in ids live
-here too, as plain lookups over ``graph.ids``.
+unit-arc levels and integer gains. Production passes node positions and
+masks between stages; the id conversions tests need to state expectations
+in ids live here too, as plain lookups over ``graph.ids``.
 """
 
 from __future__ import annotations
@@ -350,8 +350,8 @@ def full_sweep_local_moving(
 
     The quality reference for the queue in ``community._local_moving``: the
     same unit-arc level, the same seeded order, drawn with the same single
-    shuffle, and the same gains and tie-breaks, but it ends only at a
-    fixpoint where no node can strictly improve.
+    shuffle, and the same move rule (in float arithmetic, ties within
+    1e-12), but it ends only at a fixpoint where no node can strictly improve.
     """
     n = len(neighbours)
     comm = list(range(n))
@@ -439,9 +439,10 @@ def dict_level_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition
     levels as unit-arc CSRs.
 
     Each node's dict lists its neighbours in the order aggregation first
-    met them, with one float weight per pair; the local move, its queue and
-    its tie-breaks are the production routine's. Passes are scored with the
-    production ``_q`` and relabelled with ``_dense_partition``.
+    met them, with one float weight per pair; the local move and its queue
+    are the production routine's, but gains are floats and ties are judged
+    within 1e-12. Passes are scored by an edge scan, the production ``_q``,
+    and relabelled with ``_dense_partition``.
     """
     n = graph.node_count
     if not graph.pair_count:

@@ -247,6 +247,52 @@ class TestLocalMovingQueue:
         assert levels_with_self_loops >= 100
 
 
+class IdOrder:
+    """An rng stand-in whose shuffle keeps order: local moving then evaluates
+    nodes in id order."""
+
+    def shuffle(self, order):
+        pass
+
+
+def hand_level(n, pairs, self_loops, scale):
+    """A unit-arc level from ``(u, v, w)`` pairs, each row listing partners
+    in pair order, with every weight and self-loop times ``scale``: the
+    rows, integer strengths and pair total that local moving reads."""
+    rows = [[] for _ in range(n)]
+    for u, v, w in pairs:
+        rows[u] += [v] * (w * scale)
+        rows[v] += [u] * (w * scale)
+    strength = [len(row) + 2 * loop * scale for row, loop in zip(rows, self_loops)]
+    return rows, strength, sum(strength) // 2
+
+
+# A scale past 2**13 repeats a partner more than 2**13 times in a row. Gains
+# then reach a few thousand, where float rounding exceeds 1e-12: at 8196 the
+# float rule of oracles.full_sweep_local_moving misjudges the tie below.
+SCALES = (1, 8196)
+
+
+class TestExactTies:
+    """Gains compare as the exact integers G = 2m * w - tot * k."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_equal_candidates_go_to_the_smallest_id(self, scale):
+        # Strengths 4, 3 and 13, m = 10: node 0 gains G = 20 * 1 - 3 * 4 = 8
+        # into node 1 and 20 * 3 - 13 * 4 = 8 into node 2. It joins node 1
+        # whichever enters its gain dict first, and no later move pays.
+        for pairs in ([(0, 1, 1), (0, 2, 3)], [(0, 2, 3), (0, 1, 1)]):
+            rows, strength, total_w = hand_level(3, pairs, [0, 1, 5], scale)
+            assert community._local_moving(rows, strength, total_w, IdOrder()) == [1, 1, 2]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_gain_equal_to_staying_does_not_move(self, scale):
+        # Strengths 3, 6 and 9, m = 9: every candidate's G is 18 * w - tot * k
+        # = 0, as is staying alone, so no node moves.
+        rows, strength, total_w = hand_level(3, [(0, 1, 1), (1, 2, 3)], [1, 1, 3], scale)
+        assert community._local_moving(rows, strength, total_w, IdOrder()) == [0, 1, 2]
+
+
 DETECT_SEEDS = range(5)
 
 
@@ -329,12 +375,18 @@ class TestPassQ:
 
         monkeypatch.setattr(community, "_aggregate", recorded)
         rng = random.Random(37)
-        multi_level = 0
+        cases = []
         for _ in range(120):
             g = random_digraph(rng, rng.randint(5, 80), rng.uniform(0.02, 0.3))
+            cases.append((g, rng.randrange(1000)))
+        # Graphs with isolated nodes, and the same graphs with sparse ids.
+        for k, (g, seed) in enumerate(random_graphs(200, 59)):
+            cases += [(g, seed), (with_sparse_ids(g, k)[0], seed)]
+        multi_level = with_isolated = 0
+        for g, seed in cases:
             memberships.clear()
             level_qs.clear()
-            part = detect_multilevel(g, seed=rng.randrange(1000))
+            part = detect_multilevel(g, seed=seed)
             assert len(part.q_trace) == len(memberships)
             undirected = nx.Graph()
             undirected.add_nodes_from(g.ids)
@@ -346,7 +398,8 @@ class TestPassQ:
                 expected = nx.community.modularity(undirected, induced.communities())
                 assert q == pytest.approx(expected, abs=1e-12)
             multi_level += len(memberships) > 1
-        assert multi_level >= 100
+            with_isolated += bool((np.diff(g.indptr) == 0).any())
+        assert multi_level >= 100 and with_isolated >= 200
 
     def test_aggregate_keeps_internal_weight_and_degree(self):
         for case in range(240):
@@ -443,27 +496,39 @@ class TestDictLevelIdentity:
 
 class TestLevelCost:
     """A unit-arc level costs no more than level 0: aggregation keeps the
-    total weight, so arcs plus twice the self-loops stay 2 x pair_count."""
+    total weight, so arcs plus twice the self-loops stay 2 x pair_count.
+    Every level is integer: self-loops, strengths and the pair total."""
 
     def test_no_level_holds_more_arcs_than_the_graph(self, monkeypatch, planted):
-        production = community._aggregate
+        production, moving = community._aggregate, community._local_moving
         levels = []
+        strengths = []
 
         def recorded(indptr, indices, self_loop, comm):
             aggregated = production(indptr, indices, self_loop, comm)
             levels.extend([(indptr, indices, self_loop), aggregated[:3]])
             return aggregated
 
+        def recorded_moving(neighbours, strength, total_w, rng):
+            strengths.append((strength, total_w))
+            return moving(neighbours, strength, total_w, rng)
+
         monkeypatch.setattr(community, "_aggregate", recorded)
+        monkeypatch.setattr(community, "_local_moving", recorded_moving)
         checked = 0
         for g in [g for g, _ in random_graphs(300, 53)] + planted:
             levels.clear()
+            strengths.clear()
             detect_multilevel(g)
             for indptr, indices, self_loop in levels:
                 assert indptr[0] == 0 and indptr[-1] == len(indices)
                 assert len(indices) + 2 * self_loop.sum() == 2 * g.pair_count
                 assert len(indices) <= 2 * g.pair_count
+                assert np.issubdtype(self_loop.dtype, np.integer)
                 checked += 1
+            for strength, total_w in strengths:
+                assert all(type(k) is int for k in strength)
+                assert type(total_w) is int and sum(strength) == 2 * total_w
         assert checked >= 600
 
 
