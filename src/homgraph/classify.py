@@ -3,18 +3,20 @@
 Distance is Euclidean. Distance ties resolve by training-set insertion
 order; vote ties resolve toward malware, since a missed malicious sample
 costs more than a false alarm. Fold assignment is stratified by label from
-a seeded shuffle, so identical seeds reproduce identical reports.
+a seeded shuffle, so identical seeds reproduce identical reports. Macro
+rates average the fold rates left to right from 0.0, as ``sum`` did before
+CPython 3.12, so their bits do not depend on the CPython minor version.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import BENIGN, LABELS, MALWARE, InputError
+from .model import LABELS, MALWARE, InputError
 
 
 class DatasetError(InputError):
@@ -42,14 +44,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.tn + other.tn,
-            self.fp + other.fp,
-            self.fn + other.fn,
-        )
 
 
 @dataclass(frozen=True)
@@ -98,18 +92,13 @@ def metrics(counts: ConfusionCounts) -> MetricsReport:
     return MetricsReport(tpr, fnr, tnr, fpr, accuracy, precision, recall, f_measure)
 
 
-def _nearest_labels(
-    matrix: np.ndarray, labels: Sequence[str], query: np.ndarray, k: int
-) -> list[str]:
-    diff = matrix - query
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(dist2, kind="stable")[:k]
-    return [labels[i] for i in order]
-
-
-def _vote(nearest: Sequence[str]) -> str:
-    malicious = sum(1 for lab in nearest if lab == MALWARE)
-    return MALWARE if 2 * malicious >= len(nearest) else BENIGN
+def _mean(values: Sequence[float]) -> float:
+    """Sum left to right from 0.0, then divide. ``sum`` did this before
+    CPython 3.12; from 3.12 it compensates float sums."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def stratified_folds(
@@ -143,47 +132,32 @@ def cross_validate(
     present = {s.label for s in dataset}
     if present != set(LABELS):
         raise DatasetError(f"need both classes, got {sorted(present)}")
-    fold_of = stratified_folds(dataset, folds, seed)
+    fold_of = np.array(stratified_folds(dataset, folds, seed))
     smallest_train = len(dataset) - int(np.bincount(fold_of).max())
     if k > smallest_train:
         raise DatasetError(
             f"k={k} exceeds the smallest training fold of {smallest_train} samples"
         )
 
-    fold_counts: list[ConfusionCounts] = []
+    malware = np.array([s.label == MALWARE for s in dataset])
+    fold_counts = []
     for fold in range(folds):
-        train = [s for s, f in zip(dataset, fold_of) if f != fold]
-        test = [s for s, f in zip(dataset, fold_of) if f == fold]
-        matrix = np.stack([s.vector for s in train]).astype(np.float64, copy=False)
-        labels = [s.label for s in train]
-        tp = tn = fp = fn = 0
-        for sample in test:
-            predicted = _vote(_nearest_labels(matrix, labels, sample.vector, k))
-            if sample.label == MALWARE:
-                if predicted == MALWARE:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if predicted == BENIGN:
-                    tn += 1
-                else:
-                    fp += 1
+        train = np.flatnonzero(fold_of != fold)
+        test = np.flatnonzero(fold_of == fold)
+        # A fresh stack per fold, in row order: numpy does not promise a row's
+        # distance bits wherever the row sits in memory.
+        matrix = np.stack([dataset[i].vector for i in train])
+        matrix = matrix.astype(np.float64, copy=False)
+        flagged = []
+        for i in test:
+            diff = matrix - dataset[i].vector
+            order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")
+            flagged.append(2 * np.count_nonzero(malware[train[order[:k]]]) >= k)
+        tn, fp, fn, tp = np.bincount(2 * malware[test] + flagged, minlength=4).tolist()
         fold_counts.append(ConfusionCounts(tp, tn, fp, fn))
 
-    fold_reports = [metrics(c) for c in fold_counts]
-    macro = MetricsReport(
-        *(
-            sum(getattr(r, name) for r in fold_reports) / folds
-            for name in (
-                "tpr", "fnr", "tnr", "fpr",
-                "accuracy", "precision", "recall", "f_measure",
-            )
-        )
-    )
-    micro = ConfusionCounts()
-    for c in fold_counts:
-        micro = micro + c
+    macro = MetricsReport(*map(_mean, zip(*(astuple(metrics(c)) for c in fold_counts))))
+    micro = ConfusionCounts(*map(sum, zip(*map(astuple, fold_counts))))
     return CrossValidationReport(macro, micro, tuple(fold_counts))
 
 

@@ -92,14 +92,17 @@ def _q_sum(intra: np.ndarray, degree: np.ndarray, ends: np.ndarray, m: int) -> f
     """Q from integer intra pairs e_c and degrees d_c indexed by community:
     e_c / m - (d_c / 2m)^2 summed in order of first appearance in ``ends``
     (the community at each ``_scan`` end). Only that order can touch the last
-    bit, so ``modularity`` and every Louvain pass agree bit for bit."""
+    bit, so ``modularity`` and every Louvain pass agree bit for bit. The square
+    is a product, which IEEE rounds correctly everywhere; ``** 2`` calls the C
+    library's ``pow``, which need not."""
     first = np.full(len(intra), len(ends))
     np.minimum.at(first, ends, np.arange(len(ends)))
     order = np.argsort(first)[:np.count_nonzero(first < len(ends))]
     two_m = 2.0 * m
     q = 0.0
     for e_c, d_c in zip(intra[order].tolist(), degree[order].tolist()):
-        q += e_c / m - (d_c / two_m) ** 2
+        share = d_c / two_m
+        q += e_c / m - share * share
     return q
 
 

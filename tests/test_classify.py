@@ -1,6 +1,7 @@
 import logging
+import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from homgraph.classify import (
     ConfusionCounts,
     DatasetError,
     LabeledSample,
-    _nearest_labels,
-    _vote,
+    _mean,
     cross_validate,
     metrics,
     stratified_folds,
@@ -24,11 +24,28 @@ def sample(app_id, label, *coords):
     return LabeledSample(app_id, label, np.array(coords, dtype=np.float64))
 
 
-def nearest_vote(train, query, k):
-    """The kNN rule that ``cross_validate`` applies to each held-out sample."""
-    matrix = np.stack([s.vector for s in train])
-    labels = [s.label for s in train]
-    return _vote(_nearest_labels(matrix, labels, np.array(query, dtype=np.float64), k))
+def two_points(benign=2, malware=2):
+    """Benign samples at the origin and malware at (10, 10).
+
+    Samples of one class are identical, so no fold assignment changes what a
+    held-out sample sees: its own class at distance 0, the other class far.
+    """
+    return ([sample(f"b{i}", BENIGN, 0.0, 0.0) for i in range(benign)]
+            + [sample(f"m{i}", MALWARE, 10.0, 10.0) for i in range(malware)])
+
+
+def tetrahedron(first_label):
+    """Two samples per class at the corners of a regular tetrahedron.
+
+    Every pair of corners is at squared distance 8, so under ``folds=2`` each
+    held-out sample ties between its two training rows, one per class, at a
+    distance above 0. ``first_label``'s samples are listed first.
+    """
+    other = MALWARE if first_label == BENIGN else BENIGN
+    corners = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    labels = [first_label, first_label, other, other]
+    return [sample(f"{label}{i}", label, *corner)
+            for i, (label, corner) in enumerate(zip(labels, corners))]
 
 
 def tied_dataset(first_label):
@@ -43,37 +60,39 @@ def tied_dataset(first_label):
 
 
 class TestKnnPredict:
-    """The kNN rule, on one query and through ``cross_validate``."""
+    """The kNN rule, through ``cross_validate`` on datasets whose every fold
+    assignment gives the same counts."""
 
     def test_exact_training_point(self):
-        train = [sample("a", BENIGN, 0, 0), sample("b", MALWARE, 5, 5)]
-        assert nearest_vote(train, [0.0, 0.0], k=1) == BENIGN
+        # Each held-out sample sits on a training row of its own class.
+        report = cross_validate(two_points(), folds=2, k=1, seed=0)
+        assert report.micro_counts == ConfusionCounts(tp=2, tn=2, fp=0, fn=0)
 
     def test_three_neighbor_vote(self):
-        train = [
-            sample("a", BENIGN, 0, 0),
-            sample("b", MALWARE, 10, 10),
-            sample("c", MALWARE, 10, 9),
-        ]
-        assert nearest_vote(train, [9.0, 9.0], k=3) == MALWARE
+        # Each fold trains on one benign and two malware rows. Three
+        # neighbours outvote a held-out benign sample's benign twin; one does not.
+        data = two_points(malware=4)
+        report = cross_validate(data, folds=2, k=3, seed=0)
+        assert report.micro_counts == ConfusionCounts(tp=4, tn=0, fp=2, fn=0)
+        report = cross_validate(data, folds=2, k=1, seed=0)
+        assert report.micro_counts == ConfusionCounts(tp=4, tn=2, fp=0, fn=0)
 
     def test_distance_tie_breaks_by_insertion_order(self):
-        train = [sample("first", BENIGN, 1, 0), sample("second", MALWARE, -1, 0)]
-        assert nearest_vote(train, [0.0, 0.0], k=1) == BENIGN
-        flipped = [sample("first", MALWARE, 1, 0), sample("second", BENIGN, -1, 0)]
-        assert nearest_vote(flipped, [0.0, 0.0], k=1) == MALWARE
-        # Every held-out sample takes the label of the first training sample.
-        report = cross_validate(tied_dataset(BENIGN), folds=2, k=1, seed=0)
-        assert report.micro_counts == ConfusionCounts(tp=0, tn=2, fp=0, fn=2)
-        report = cross_validate(tied_dataset(MALWARE), folds=2, k=1, seed=0)
-        assert report.micro_counts == ConfusionCounts(tp=2, tn=0, fp=2, fn=0)
+        # Every held-out sample takes the label of the first training sample,
+        # whether the tie is at distance 0 or above it.
+        for data in (tied_dataset, tetrahedron):
+            report = cross_validate(data(BENIGN), folds=2, k=1, seed=0)
+            assert report.micro_counts == ConfusionCounts(tp=0, tn=2, fp=0, fn=2)
+            report = cross_validate(data(MALWARE), folds=2, k=1, seed=0)
+            assert report.micro_counts == ConfusionCounts(tp=2, tn=0, fp=2, fn=0)
 
     def test_vote_tie_breaks_toward_malware(self):
-        train = [sample("a", BENIGN, 0, 1), sample("b", MALWARE, 3, 3)]
-        assert nearest_vote(train, [0.0, 0.0], k=2) == MALWARE
-        # One neighbour of each class, whichever is listed first: malware.
-        for first in (BENIGN, MALWARE):
-            report = cross_validate(tied_dataset(first), folds=2, k=2, seed=0)
+        # One neighbour of each class: malware, whichever is nearer or
+        # listed first.
+        tied = [make(first) for make in (tied_dataset, tetrahedron)
+                for first in (BENIGN, MALWARE)]
+        for data in (two_points(), *tied):
+            report = cross_validate(data, folds=2, k=2, seed=0)
             assert report.micro_counts == ConfusionCounts(tp=2, tn=0, fp=2, fn=0)
 
     def test_empty_training_set(self):
@@ -138,6 +157,13 @@ class TestMetrics:
             else:
                 assert report.f_measure == 0.0
             assert all(0.0 <= v <= 1.0 for v in vars(report).values())
+
+
+def left_to_right_mean(values):
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total / len(values)
 
 
 def cloud_dataset(per_class=20, dim=3, spread=0.1, gap=10.0, seed=0):
@@ -207,9 +233,20 @@ class TestCrossValidate:
             threshold_sweep([1.0], [data], k=17, folds=5)
 
     def test_macro_is_mean_of_fold_rates(self):
-        report = cross_validate(cloud_dataset(per_class=15), folds=5, k=3, seed=2)
-        fold_fnrs = [metrics(c).fnr for c in report.fold_counts]
-        assert report.macro.fnr == pytest.approx(sum(fold_fnrs) / 5, abs=1e-12)
+        # Fold rates sum left to right from 0.0, as ``sum`` did before CPython
+        # 3.12: not compensated (``sum`` from 3.12, ``math.fsum``) and not
+        # pairwise (``np.mean``). The overlapping clouds give fold rates on
+        # which those orders disagree.
+        assert _mean([0.1] * 10) == 0.09999999999999999  # compensated: 0.1
+        cases = [(cloud_dataset(per_class=15), 5, 3, 2),
+                 (cloud_dataset(per_class=30, spread=1.0, gap=1.0, seed=5), 10, 3, 5)]
+        for data, folds, k, seed in cases:
+            report = cross_validate(data, folds, k, seed)
+            columns = list(zip(*(astuple(metrics(c)) for c in report.fold_counts)))
+            expected = [left_to_right_mean(c) for c in columns]
+            assert list(astuple(report.macro)) == expected
+        assert expected != [math.fsum(c) / len(c) for c in columns]
+        assert expected != [float(np.mean(c)) for c in columns]
 
 
 @pytest.fixture(scope="module")

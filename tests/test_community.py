@@ -355,6 +355,25 @@ class TestQueueQuality:
         assert checked >= 1000
 
 
+class TestQSum:
+    def test_squares_by_product(self):
+        # (d_c / 2m)^2 is a product, which IEEE rounds correctly on every
+        # platform. ``** 2`` calls the C library's pow, which on some hosts
+        # rounds about 1 in 1,000 of these squares the other way.
+        rng = random.Random(0)
+        shares = []
+        for _ in range(20_000):
+            m = rng.randint(1, 10**6)
+            shares.append((rng.randint(1, 2 * m), m))
+        misrounded = [(d, m) for d, m in shares
+                      if (d / (2.0 * m)) ** 2 != (d / (2.0 * m)) * (d / (2.0 * m))]
+        # One community with no intra pairs: Q is minus the square itself.
+        for d, m in misrounded + shares[:200]:
+            share = d / (2.0 * m)
+            q = community._q_sum(np.array([0]), np.array([d]), np.array([0]), m)
+            assert q == -(share * share)
+
+
 class TestPassQ:
     """Each pass's Q is ``modularity`` of the partition it induces, bit for bit."""
 
