@@ -47,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 # function reads, plus --out, so no flag is accepted and then ignored.
 _FLAGS = {
     "--catalog": dict(metavar="FILE", help="sensitive-API catalog file"),
-    "--threshold": dict(type=float, default=3.0, help="coupling threshold (default 3)"),
+    "--threshold": dict(type=float, default=homophily.DEFAULT_THRESHOLD,
+                        help=f"coupling threshold (default {homophily.DEFAULT_THRESHOLD:g})"),
     "--k": dict(type=int, default=1, help="kNN neighbor count (default 1)"),
     "--folds": dict(type=int, default=10, help="cross-validation folds (default 10)"),
     "--seed": dict(type=int, default=0, help="pseudorandom seed (default 0)"),
@@ -224,7 +225,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _check_threshold("--threshold", args.threshold)
     catalog = load_catalog(args.catalog)
     analyses = pipeline.analyze_corpus(pipeline.graph_files(args.paths), catalog,
-                                       args.threshold, args.seed)
+                                       (args.threshold,), args.seed)
     if not analyses:
         raise InputError("every graph in the corpus failed to analyze")
     out_dir = Path(args.out)
@@ -299,47 +300,46 @@ def _cv_dict(report: classify.CrossValidationReport) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    threshold = (_FLAGS["--threshold"]["default"] if args.threshold is None
+    threshold = (homophily.DEFAULT_THRESHOLD if args.threshold is None
                  else _check_threshold("--threshold", args.threshold))
     if args.k < 1:
         raise InputError(f"--k must be at least 1, got {args.k}")
     if args.folds < 2:
         raise InputError(f"--folds must be at least 2, got {args.folds}")
-    thresholds = _parse_thresholds(args.sweep) if args.sweep else []
+    sweep = _parse_thresholds(args.sweep) if args.sweep else []
     if args.features and args.paths:
         raise InputError("eval takes graph paths or --features, not both")
     if not (args.features or args.paths):
         raise InputError("eval needs graph paths or --features")
 
-    payload: dict = {
-        "seed": args.seed,
-        "k": args.k,
-        "folds": args.folds,
-        "threshold": threshold,
-        "algorithm": community.MULTILEVEL,
-    }
+    # Each distinct threshold, the report's first, is analyzed and cross-validated once.
+    levels = list(dict.fromkeys([threshold, *sweep]))
     if args.features:
         for flag, value in (("--sweep", args.sweep), ("--catalog", args.catalog),
                             ("--threshold", args.threshold)):
             if value is not None:
                 raise InputError(f"{flag} needs graph paths (features are already extracted)")
-        samples = read_features_csv(args.features)
+        datasets = [read_features_csv(args.features)]
     else:
         catalog = load_catalog(args.catalog)
-        analyses = pipeline.analyze_corpus(
-            pipeline.graph_files(args.paths), catalog, threshold, args.seed,
-            thresholds, reports=False,
-        )
-        samples, *swept = pipeline.samples_by_threshold(analyses)
-    payload["samples"] = len(samples)
-    payload["report"] = _cv_dict(classify.cross_validate(samples, args.folds, args.k, args.seed))
-    if thresholds:
-        rows = classify.threshold_sweep(
-            thresholds, swept, k=args.k, folds=args.folds, seed=args.seed
-        )
+        analyses = pipeline.analyze_corpus(pipeline.graph_files(args.paths), catalog,
+                                           levels, args.seed, reports=False)
+        datasets = pipeline.samples_by_threshold(analyses, len(levels))
+    rows = {row.threshold: row for row in classify.threshold_sweep(
+        levels, datasets, k=args.k, folds=args.folds, seed=args.seed)}
+    payload = {
+        "seed": args.seed,
+        "k": args.k,
+        "folds": args.folds,
+        "threshold": threshold,
+        "algorithm": community.MULTILEVEL,
+        "samples": rows[threshold].sample_count,
+        "report": _cv_dict(rows[threshold].report),
+    }
+    if sweep:
         payload["sweep"] = [
-            {"threshold": row.threshold, "samples": row.sample_count, **_cv_dict(row.report)}
-            for row in rows
+            {"threshold": t, "samples": rows[t].sample_count, **_cv_dict(rows[t].report)}
+            for t in sweep
         ]
     _emit(_json_text(payload), args.out)
     return EXIT_OK

@@ -251,7 +251,7 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     most frequent neighbor label (ties to the smallest label); sweeps run
     in seed-permuted order until a fixpoint or ``MAX_LABEL_SWEEPS`` sweeps.
     """
-    neighbours = graph.neighbours()
+    neighbours = csr_rows(graph.indptr, graph.indices)
     labels = list(range(len(neighbours)))  # by position: the smallest label is the smallest id
     order = labels[:]
     rng = random.Random(seed)

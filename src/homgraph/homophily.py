@@ -26,6 +26,9 @@ from .model import CallGraph, InputError, induced_subgraph
 FILTERED_BENIGN = "filtered_benign"
 SUSPICIOUS = "suspicious"
 
+# The coupling threshold when none is given: the sweep's best performer.
+DEFAULT_THRESHOLD = 3.0
+
 # Candidate covert malware: malicious part below 2% of nodes and coupling
 # with the normal part between 1 and 5 inclusive.
 COVERT_PROPORTION_LIMIT = 0.02
@@ -109,7 +112,7 @@ def coupling_from_counts(n_a: int, n_b: int, e_a: int, e_b: int, s: int) -> Coup
     report = CouplingReport(n_a, n_b, e_a, e_b, s, 0.0)
     if s == 0:
         return report
-    c = (s / report.total_edges) / report.chance_expectation
+    c = report.cross_fraction / report.chance_expectation
     return CouplingReport(n_a, n_b, e_a, e_b, s, c)
 
 

@@ -134,10 +134,6 @@ class CallGraph:
         """Edges of the undirected projection."""
         return len(self.indices) // 2
 
-    def neighbours(self) -> list[list[int]]:
-        """Each position's neighbour positions, ascending."""
-        return csr_rows(self.indptr, self.indices)
-
     @cached_property
     def arcs(self) -> np.ndarray:
         """(caller, callee) position rows, sorted: the entries with bit 1."""

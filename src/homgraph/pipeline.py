@@ -1,16 +1,16 @@
 """End-to-end orchestration shared by the CLI subcommands.
 
-Per-graph analysis takes a coupling threshold and a seed; the defaults are
-the best-performing configuration (threshold 3). Communities always come
-from multilevel detection. The catalog is loaded by the caller, and
-classifier settings (k, folds) go straight to ``classify``. Every command
-that reads many graphs runs one corpus loop, :func:`map_graphs`: each graph
-is parsed and handed to a per-graph function, and only that function's
-result is kept before the next file is read. :func:`fork_map` spreads the
-calls over one process per usable CPU, and the loop alone decides which
-graphs are skipped. For ``analyze`` and ``eval`` the function detects,
-couples once for every threshold and featurizes once per distinct
-suspicious union; their results come out stably sorted by app_id.
+Per-graph analysis takes a seed and a list of coupling thresholds, the
+report's first. Communities always come from multilevel detection. The
+catalog is loaded by the caller, and classifier settings (k, folds) go
+straight to ``classify``. Every command that reads many graphs runs one
+corpus loop, :func:`map_graphs`: each graph is parsed and handed to a
+per-graph function, and only that function's result is kept before the next
+file is read. :func:`fork_map` spreads the calls over one process per usable
+CPU, and the loop alone decides which graphs are skipped. For ``analyze``
+and ``eval`` the function detects, couples once for every threshold and
+featurizes once per distinct suspicious union; their results come out stably
+sorted by app_id.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ JSON_ENCODER = json.JSONEncoder(indent=1, allow_nan=False)
 
 @dataclass(frozen=True, eq=False)
 class GraphAnalysis:
-    """What is kept of one graph: features at the configured threshold, then
-    at each sweep threshold, and the partition report's JSON text (encoded by
-    :data:`JSON_ENCODER`) unless left out."""
+    """What is kept of one graph: its features at each threshold of the
+    analysis, in order, and the partition report's JSON text (encoded by
+    :data:`JSON_ENCODER`) at the first, unless left out."""
 
     app_id: str
     label: str | None
@@ -56,16 +56,15 @@ class GraphAnalysis:
 def analyze_graph(
     graph: CallGraph,
     catalog: SensitiveApiCatalog,
-    threshold: float = 3.0,
+    thresholds: Sequence[float] = (homophily.DEFAULT_THRESHOLD,),
     seed: int = 0,
-    sweep: Sequence[float] = (),
     report: bool = True,
 ) -> GraphAnalysis:
-    """Multilevel detection, one coupling pass, features at ``threshold`` then
-    at each ``sweep`` threshold, and the report encoded in this process."""
+    """Multilevel detection, one coupling pass, features at each of the
+    ``thresholds`` and the report at the first, encoded in this process."""
     partition = community.detect_multilevel(graph, seed)
-    outcome = homophily.partition_suspicious(graph, partition, threshold)
-    outcomes = (outcome, *homophily.at_thresholds(graph, outcome, sweep))
+    outcome = homophily.partition_suspicious(graph, partition, thresholds[0])
+    outcomes = (outcome, *homophily.at_thresholds(graph, outcome, thresholds[1:]))
     # Outcomes with the same suspicious union share its subgraph object.
     features: dict[int, np.ndarray] = {}
     for o in outcomes:
@@ -131,15 +130,14 @@ def map_graphs(
 def analyze_corpus(
     sources: Iterable[CallGraph | str | Path],
     catalog: SensitiveApiCatalog,
-    threshold: float = 3.0,
+    thresholds: Sequence[float] = (homophily.DEFAULT_THRESHOLD,),
     seed: int = 0,
-    sweep: Sequence[float] = (),
     reports: bool = True,
 ) -> list[GraphAnalysis]:
     """:func:`analyze_graph` of each source through :func:`map_graphs`,
     stably sorted by app_id."""
     return sorted(
-        map_graphs(lambda g: analyze_graph(g, catalog, threshold, seed, sweep, reports),
+        map_graphs(lambda g: analyze_graph(g, catalog, thresholds, seed, reports),
                    sources, catalog),
         key=lambda a: a.app_id)
 
@@ -164,16 +162,17 @@ def load_corpus(
     return sorted(map_graphs(lambda g: g, graph_files(paths), catalog), key=lambda g: g.app_id)
 
 
-def samples_by_threshold(analyses: Sequence[GraphAnalysis]) -> list[list[LabeledSample]]:
-    """One dataset per threshold, in ``GraphAnalysis.vectors`` order; an
+def samples_by_threshold(analyses: Sequence[GraphAnalysis],
+                         count: int) -> list[list[LabeledSample]]:
+    """The ``count`` datasets of analyses run at ``count`` thresholds, in
+    ``GraphAnalysis.vectors`` order, empty when there are no analyses; an
     unlabeled graph is logged and left out of every one."""
     for a in analyses:
         if a.label is None:
             logger.warning("graph %r has no label; excluded from dataset", a.app_id)
     labeled = [a for a in analyses if a.label is not None]
-    slots = len(analyses[0].vectors) if analyses else 1
     return [[LabeledSample(a.app_id, a.label, a.vectors[i]) for a in labeled]
-            for i in range(slots)]
+            for i in range(count)]
 
 
 def partition_report(graph: CallGraph, partition: community.CommunityPartition,

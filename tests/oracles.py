@@ -13,10 +13,10 @@ normalized in plain passes over nodes and edges rather than while parsing,
 and every neighbour set is built here from ``graph.edges``, never read from
 production's CSR index arrays, except level 0 of ``dict_level_multilevel``:
 that Louvain holds each level as per-node weight dicts, starting from
-``graph.neighbours()``, and is the identity reference for production's
-unit-arc levels and integer gains. Production passes node positions and
-masks between stages; the id conversions tests need to state expectations
-in ids live here too, as plain lookups over ``graph.ids``.
+``csr_rows`` of the graph's CSR, and is the identity reference for
+production's unit-arc levels and integer gains. Production passes node
+positions and masks between stages; the id conversions tests need to state
+expectations in ids live here too, as plain lookups over ``graph.ids``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from homgraph.community import (
     _q,
 )
 from homgraph.features import _TRICODES, SELECTED_TRIADS, TRIAD_NAMES
-from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
+from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog, csr_rows
 
 # The production code table, read as one triad name per 6-bit code.
 _CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
@@ -449,7 +449,7 @@ def dict_level_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition
         return _dense_partition(graph, np.arange(n))
 
     # Aggregated-graph state; weights are per unordered pair, self-loops once.
-    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in graph.neighbours()]
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in csr_rows(graph.indptr, graph.indices)]
     self_loop = [0.0] * n
     total_w = float(graph.pair_count)
 

@@ -16,7 +16,7 @@ import pytest
 from homgraph import classify, community, generate, pipeline
 from homgraph.cli import main
 from homgraph.features import SELECTED_TRIADS, featurize, ratio_features, triad_census
-from homgraph.homophily import PartitionOutcome, coupling_from_counts
+from homgraph.homophily import DEFAULT_THRESHOLD, PartitionOutcome, coupling_from_counts
 from homgraph.model import SensitiveApiCatalog, load_catalog
 
 from conftest import barbell, make_graph, random_digraph
@@ -41,14 +41,16 @@ def corpus(catalog):
     return generate.generate_corpus(generate.SyntheticSpec(), 200, 200, catalog)
 
 
-# Criterion 7's sweep; the analyses carry one feature vector per threshold.
+# Criterion 7's sweep; the analyses carry one feature vector per threshold,
+# the default's first.
 SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0, 1e9)
+THRESHOLDS = (DEFAULT_THRESHOLD, *SWEEP)
 
 
 @pytest.fixture(scope="module")
 def analyses(corpus, catalog):
     start = time.perf_counter()
-    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, sweep=SWEEP)
+    results = pipeline.analyze_corpus([g for g, _ in corpus], catalog, THRESHOLDS)
     return results, time.perf_counter() - start
 
 
@@ -152,7 +154,7 @@ def test_criterion_5_modularity_and_louvain():
 def test_criterion_6_end_to_end_detection(corpus, analyses, catalog):
     results, analyze_seconds = analyses
     start = time.perf_counter()
-    samples = pipeline.samples_by_threshold(results)[0]
+    samples = pipeline.samples_by_threshold(results, len(THRESHOLDS))[0]
     cv = classify.cross_validate(samples, folds=10, k=1, seed=0)
     elapsed = analyze_seconds + (time.perf_counter() - start)
     ok = (
@@ -177,7 +179,7 @@ def test_suspicious_subgraph_beats_whole_graph(corpus, analyses, catalog):
     # detect covert payloads that the same features of the whole app miss.
     results, _ = analyses
     pipeline_cv = classify.cross_validate(
-        pipeline.samples_by_threshold(results)[0], folds=10, k=1, seed=0)
+        pipeline.samples_by_threshold(results, len(THRESHOLDS))[0], folds=10, k=1, seed=0)
     whole = [
         classify.LabeledSample(graph.app_id, graph.ground_truth,
                                featurize(PartitionOutcome(frozenset(), (), graph, 3.0), catalog))
@@ -201,14 +203,14 @@ def test_payload_coupled_above_threshold_evades(catalog):
         if target > 3.0:
             assert all(not json.loads(a.report)["suspicious_nodes"] for a in covert)
             assert all(not a.vectors[0].any() for a in results)
-        cv = classify.cross_validate(pipeline.samples_by_threshold(results)[0],
+        cv = classify.cross_validate(pipeline.samples_by_threshold(results, 1)[0],
                                      folds=5, k=1, seed=0)
         assert cv.macro.fnr == expected_fnr, target
 
 
 def test_criterion_7_threshold_sweep_shape(analyses, catalog):
     results, _ = analyses
-    _, *datasets = pipeline.samples_by_threshold(results)
+    _, *datasets = pipeline.samples_by_threshold(results, len(THRESHOLDS))
     rows = classify.threshold_sweep(SWEEP, datasets)
     five = [r for r in rows if r.threshold != 1e9]
     f_at_3 = next(r.report.macro.f_measure for r in rows if r.threshold == 3.0)

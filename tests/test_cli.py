@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import homgraph
-from homgraph import cli, community, generate, homophily, pipeline
+from homgraph import classify, cli, community, generate, homophily, pipeline
 from homgraph.cli import build_parser, main, read_features_csv
 from homgraph.model import InputError, load_catalog, load_graph, parse_catalog, serialize_graph
 
@@ -384,21 +384,36 @@ class TestEval:
         assert [row["threshold"] for row in report["sweep"]] == [1, 2, 3, 4, 5]
 
     def test_sweep_detects_each_graph_once(self, eval_corpus, tmp_path, monkeypatch):
-        calls = ProcessLog(tmp_path / "calls.jsonl")
-        real = community.detect_multilevel
+        # ... and cross-validates each distinct threshold once, the report's
+        # (the default, 3) included, whatever the order of the list.
+        real_detect, real_validate = community.detect_multilevel, classify.cross_validate
+        for sweep in ("1,3", "3,1,3"):
+            calls = ProcessLog(tmp_path / f"calls-{sweep}.jsonl")
+            validated = []  # cross-validation runs in process 0
 
-        def detect(graph, seed=0):
-            calls.append(graph.app_id)
-            return real(graph, seed)
+            def detect(graph, seed=0):
+                calls.append(graph.app_id)
+                return real_detect(graph, seed)
 
-        monkeypatch.setattr(community, "detect_multilevel", detect)
-        out = tmp_path / "sweep.json"
-        assert run("eval", str(eval_corpus), "--folds", "4",
-                   "--sweep", "1,3", "--out", str(out)) == 0
-        assert len(calls.values()) == len(set(calls.values())) == 24
-        report = json.loads(out.read_text())
-        at_default = next(row for row in report["sweep"] if row["threshold"] == 3)
-        assert at_default["macro"] == report["report"]["macro"]
+            def cross_validate(dataset, *args):
+                validated.append(len(dataset))
+                return real_validate(dataset, *args)
+
+            monkeypatch.setattr(community, "detect_multilevel", detect)
+            monkeypatch.setattr(classify, "cross_validate", cross_validate)
+            out = tmp_path / f"sweep-{sweep}.json"
+            assert run("eval", str(eval_corpus), "--folds", "4",
+                       "--sweep", sweep, "--out", str(out)) == 0
+            assert len(calls.values()) == len(set(calls.values())) == 24
+            assert validated == [24, 24]
+            report = json.loads(out.read_text())
+            assert [row["threshold"] for row in report["sweep"]] == [
+                float(t) for t in sweep.split(",")]
+            at_default = [row for row in report["sweep"] if row["threshold"] == 3]
+            assert len(at_default) == sweep.count("3")
+            for row in at_default:
+                assert row["macro"] == report["report"]["macro"]
+                assert row["micro_counts"] == report["report"]["micro_counts"]
 
     def test_analyze_then_eval_equals_one_shot(self, eval_corpus, tmp_path):
         analysis = tmp_path / "analysis"
@@ -811,7 +826,7 @@ class TestInternalErrorsNotDropped:
         monkeypatch.setattr(homophily, "at_thresholds", at_thresholds)
         with pytest.raises(KeyError):
             pipeline.analyze_corpus(pipeline.graph_files([corpus]), load_catalog(),
-                                    sweep=(1.0, 3.0))
+                                    (3.0, 1.0, 3.0))
 
 
 class TestFeatureFileValidation:

@@ -295,8 +295,9 @@ class TestPartitionSuspicious:
         outcome = partition_suspicious(g, partition, threshold=3.0)
         with pytest.raises(ValueError, match="finite"):
             at_thresholds(g, outcome, [1.0, bad])
-        with pytest.raises(ValueError, match="finite"):
-            analyze_graph(g, desk_catalog, bad)
+        for thresholds in ((bad,), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                analyze_graph(g, desk_catalog, thresholds)
 
 
 # Entries of different lengths, some inside others, so one name can hit several.
