@@ -6,7 +6,8 @@ Runs are deterministic given (graph, seed): visiting order is a seeded
 permutation and every tie breaks toward the smallest candidate id.
 Louvain holds every level as the graph holds level 0, a CSR of unit arcs
 (a pair of weight w is w arcs in each endpoint's row), so no level holds
-more arcs than the graph. Its weights, totals and gains are exact integers.
+more arcs than the graph. Its weights, totals and gains are exact integers,
+and it stops after the first pass that moves no node.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CallGraph, csr_rows
+from .model import CallGraph
 
-# Stop a multilevel run once an aggregation pass improves Q by less than this.
-Q_IMPROVEMENT_TOL = 1e-7
 # Safety cap for label propagation, which has no quality function to monitor.
 MAX_LABEL_SWEEPS = 100
 
@@ -92,18 +91,16 @@ def _q_sum(intra: np.ndarray, degree: np.ndarray, ends: np.ndarray, m: int) -> f
     """Q from integer intra pairs e_c and degrees d_c indexed by community:
     e_c / m - (d_c / 2m)^2 summed in order of first appearance in ``ends``
     (the community at each ``_scan`` end). Only that order can touch the last
-    bit, so ``modularity`` and every Louvain pass agree bit for bit. The square
-    is a product, which IEEE rounds correctly everywhere; ``** 2`` calls the C
-    library's ``pow``, which need not."""
+    bit, so ``modularity`` and every Louvain pass agree bit for bit. Terms are
+    IEEE basic operations on ints below 2**53, the square a product (``** 2``
+    calls the C library's ``pow``, which need not round correctly), and
+    ``np.cumsum`` adds them left to right: ``0.0 + t0 + ...``, as no term is
+    -0.0. ``np.sum`` (pairwise) and ``math.fsum`` can change the last bit."""
     first = np.full(len(intra), len(ends))
     np.minimum.at(first, ends, np.arange(len(ends)))
     order = np.argsort(first)[:np.count_nonzero(first < len(ends))]
-    two_m = 2.0 * m
-    q = 0.0
-    for e_c, d_c in zip(intra[order].tolist(), degree[order].tolist()):
-        share = d_c / two_m
-        q += e_c / m - share * share
-    return q
+    share = degree[order] / (2.0 * m)
+    return float(np.cumsum(intra[order] / m - share * share)[-1])
 
 
 def _dense_partition(
@@ -125,12 +122,14 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
 
     Alternates local moving (a node queue in seed-permuted order, only
     strictly improving moves, ties to the smallest community id, a mover's
-    neighbours requeued) with graph aggregation until a pass improves Q by
-    at most ``Q_IMPROVEMENT_TOL``, on unit-arc levels with integer
-    self-loops and strengths. Each pass is scored from the level it builds,
-    whose self-loops and strengths are its communities' intra pairs and
-    degrees on ``graph``, summed in ``modularity``'s order, so the last
-    ``q_trace`` entry is the partition's Q bit for bit.
+    neighbours requeued) with graph aggregation on unit-arc levels with
+    integer self-loops and strengths. It stops after the first pass that
+    keeps the level's node count, exactly the first that moves no node (a
+    node only joins a community with members, so a first move empties a
+    singleton for good); at most n passes run. Each pass is scored from the
+    level it builds, whose self-loops and strengths are its communities'
+    intra pairs and degrees on ``graph``, summed in ``modularity``'s order,
+    so the last ``q_trace`` entry is the partition's Q bit for bit.
     """
     n, m = graph.node_count, graph.pair_count
     if not m:
@@ -147,7 +146,7 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
     prev_q = _q_sum(self_loop, strength, scan, m)
 
     while True:
-        comm = _local_moving(csr_rows(indptr, indices), strength.tolist(), m, rng)
+        comm = _local_moving(_csr_rows(indptr, indices), strength.tolist(), m, rng)
         indptr, indices, self_loop, super_node = _aggregate(indptr, indices, self_loop, comm)
         membership = super_node[membership]
         strength = np.diff(indptr) + 2 * self_loop
@@ -155,11 +154,18 @@ def detect_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition:
         if not q >= prev_q - 1e-9:
             raise RuntimeError(f"local moving decreased modularity from {prev_q} to {q}")
         q_trace.append(q)
-        if q - prev_q <= Q_IMPROVEMENT_TOL:
+        if len(self_loop) == len(super_node):
             break
         prev_q = q
 
     return _dense_partition(graph, membership, tuple(q_trace))
+
+
+def _csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Each row ``indices[indptr[i]:indptr[i + 1]]`` of a CSR, as a list."""
+    flat = indices.tolist()
+    ptr = indptr.tolist()
+    return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
 
 
 def _local_moving(neighbours: list[list[int]], strength: list[int], total_w: int,
@@ -251,7 +257,7 @@ def detect_label_propagation(graph: CallGraph, seed: int = 0) -> CommunityPartit
     most frequent neighbor label (ties to the smallest label); sweeps run
     in seed-permuted order until a fixpoint or ``MAX_LABEL_SWEEPS`` sweeps.
     """
-    neighbours = csr_rows(graph.indptr, graph.indices)
+    neighbours = _csr_rows(graph.indptr, graph.indices)
     labels = list(range(len(neighbours)))  # by position: the smallest label is the smallest id
     order = labels[:]
     rng = random.Random(seed)

@@ -64,13 +64,6 @@ class FunctionNode:
     sensitive: bool = False
 
 
-def csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
-    """Each row ``indices[indptr[i]:indptr[i + 1]]`` of a CSR, as a list."""
-    flat = indices.tolist()
-    ptr = indptr.tolist()
-    return [flat[i:j] for i, j in zip(ptr, ptr[1:])]
-
-
 @dataclass(frozen=True, eq=False)
 class CallGraph:
     """Immutable, normalized directed call graph, as arrays over positions.

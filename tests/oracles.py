@@ -13,8 +13,8 @@ normalized in plain passes over nodes and edges rather than while parsing,
 and every neighbour set is built here from ``graph.edges``, never read from
 production's CSR index arrays, except level 0 of ``dict_level_multilevel``:
 that Louvain holds each level as per-node weight dicts, starting from
-``csr_rows`` of the graph's CSR, and is the identity reference for
-production's unit-arc levels and integer gains. Production passes node
+``community._csr_rows`` of the graph's CSR, and is the identity reference
+for production's unit-arc levels and integer gains. Production passes node
 positions and masks between stages; the id conversions tests need to state
 expectations in ids live here too, as plain lookups over ``graph.ids``.
 """
@@ -29,17 +29,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from homgraph.community import (
-    Q_IMPROVEMENT_TOL,
-    CommunityPartition,
-    _dense_partition,
-    _q,
-)
+from homgraph.community import CommunityPartition, _csr_rows, _dense_partition, _q
 from homgraph.features import _TRICODES, SELECTED_TRIADS, TRIAD_NAMES
-from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog, csr_rows
+from homgraph.model import CallGraph, GraphFormatError, SensitiveApiCatalog
 
 # The production code table, read as one triad name per 6-bit code.
 _CODE_TO_NAME = {code: TRIAD_NAMES[cls - 1] for code, cls in enumerate(_TRICODES)}
+
+# ``dict_level_multilevel`` stops once a pass improves Q by at most this, a
+# float rule; production stops after the first pass that moves no node.
+Q_IMPROVEMENT_TOL = 1e-7
 
 
 def normalize(doc: dict) -> CallGraph:
@@ -442,14 +441,15 @@ def dict_level_multilevel(graph: CallGraph, seed: int = 0) -> CommunityPartition
     met them, with one float weight per pair; the local move and its queue
     are the production routine's, but gains are floats and ties are judged
     within 1e-12. Passes are scored by an edge scan, the production ``_q``,
-    and relabelled with ``_dense_partition``.
+    and relabelled with ``_dense_partition``; the run stops on a Q gain of at
+    most ``Q_IMPROVEMENT_TOL``.
     """
     n = graph.node_count
     if not graph.pair_count:
         return _dense_partition(graph, np.arange(n))
 
     # Aggregated-graph state; weights are per unordered pair, self-loops once.
-    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in csr_rows(graph.indptr, graph.indices)]
+    adj = [dict.fromkeys(nbrs, 1.0) for nbrs in _csr_rows(graph.indptr, graph.indices)]
     self_loop = [0.0] * n
     total_w = float(graph.pair_count)
 

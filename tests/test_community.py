@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,12 +8,13 @@ from homgraph import community, generate
 from homgraph.community import (
     CommunityPartition,
     ModularityUndefinedError,
+    _csr_rows,
     detect_label_propagation,
     detect_multilevel,
     modularity,
 )
 from homgraph.homophily import partition_suspicious
-from homgraph.model import csr_rows, load_catalog
+from homgraph.model import load_catalog
 
 from conftest import barbell, make_graph, random_digraph, triangle_ring
 from oracles import (
@@ -127,6 +129,32 @@ class TestMultilevel:
         with pytest.raises(RuntimeError, match="decreased modularity"):
             detect_multilevel(make_graph(4, [(0, 1), (1, 2), (2, 3)]))
 
+    def test_stops_only_after_a_pass_that_moves_no_node(self, monkeypatch):
+        # A hub 0 joined to 1..3,999, plus (1, 2): m = 4,000. Merging 1 into
+        # the hub gains (1 - 3,999 * 2 / 8,000) / 4,000 = 6.25e-8 of Q, below
+        # the 1e-7 a float stop rule would allow. The run must go on, and the
+        # second pass's merge of 2 gains far more.
+        calls = []
+
+        def merge_position_1(neighbours, strength, total_w, rng):
+            calls.append(len(neighbours))
+            comm = list(range(len(neighbours)))
+            if len(calls) <= 2:
+                comm[1] = 0
+            return comm
+
+        monkeypatch.setattr(community, "_local_moving", merge_position_1)
+        n = 4000
+        g = make_graph(n, [(0, v) for v in range(1, n)] + [(1, 2)])
+        part = detect_multilevel(g)
+        assert calls == [4000, 3999, 3998]
+        assert part.community_count == 3998
+        assert part.communities()[0] == frozenset({0, 1, 2})
+        singletons_q = community._q(g, np.arange(n))
+        assert part.q_trace[0] - singletons_q == pytest.approx(6.25e-8, rel=1e-6)
+        assert part.q_trace[1] - part.q_trace[0] > 1e-4
+        assert part.q_trace[2] == part.q_trace[1] == part.modularity_q == modularity(g, part)
+
     def test_community_ids_dense_from_zero(self):
         part = detect_multilevel(barbell(), seed=3)
         assert set(part.labels.tolist()) == set(range(part.community_count))
@@ -177,7 +205,7 @@ def random_weighted_level(rng):
 def level_lists(indptr, indices, self_loop):
     """What local moving reads of a unit-arc level: each node's row as a list,
     and its strength (arc count plus twice its self-loop)."""
-    return csr_rows(indptr, indices), (np.diff(indptr) + 2.0 * self_loop).tolist()
+    return _csr_rows(indptr, indices), (np.diff(indptr) + 2.0 * self_loop).tolist()
 
 
 def copy_rng(rng):
@@ -373,6 +401,32 @@ class TestQSum:
             q = community._q_sum(np.array([0]), np.array([d]), np.array([0]), m)
             assert q == -(share * share)
 
+    def test_sums_left_to_right_in_order_of_first_appearance(self):
+        # Q's terms summed one by one from 0.0, as a Python loop adds them.
+        # np.sum adds pairwise and math.fsum exactly; on most of these cases
+        # either gives another last bit.
+        rng = random.Random(38)
+        pairwise = exact = 0
+        for _ in range(300):
+            k = rng.randint(2, 400)
+            m = rng.randint(k, 10**6)
+            degree = np.array([rng.randint(0, 2 * m // k) for _ in range(k)])
+            intra = np.array([rng.randint(0, d // 2) for d in degree.tolist()])
+            ends = np.arange(k)
+            if rng.random() < 0.5:  # first appearance need not follow the index
+                ends = np.array(rng.sample(range(k), k) * 2)
+            terms = []
+            for c in dict.fromkeys(ends.tolist()):
+                share = int(degree[c]) / (2.0 * m)
+                terms.append(int(intra[c]) / m - share * share)
+            q = 0.0
+            for term in terms:
+                q += term
+            assert community._q_sum(intra, degree, ends, m) == q
+            pairwise += float(np.sum(terms)) != q
+            exact += math.fsum(terms) != q
+        assert pairwise > 100 and exact > 100
+
 
 class TestPassQ:
     """Each pass's Q is ``modularity`` of the partition it induces, bit for bit."""
@@ -431,7 +485,7 @@ class TestPassQ:
             relabel = dict(zip(comm, super_node.tolist()))
             assert super_node.tolist() == [relabel[c] for c in comm]
             assert sorted(relabel.values()) == list(range(len(new_loop)))
-            new_rows = csr_rows(new_ptr, new_indices)
+            new_rows = _csr_rows(new_ptr, new_indices)
             intra, degree = level_totals(*level_lists(indptr, indices, self_loop), comm)
             for c, k in relabel.items():
                 assert k not in new_rows[k]

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from homgraph.community import _csr_rows
 from homgraph.model import (
     CallGraph,
     CatalogError,
@@ -11,7 +12,6 @@ from homgraph.model import (
     GraphFormatError,
     SensitiveApiCatalog,
     apply_catalog,
-    csr_rows,
     induced_subgraph,
     load_catalog,
     load_graph,
@@ -437,7 +437,7 @@ class TestIndex:
             assert ids_ == tuple(sorted(node_ids))
             assert g.pair_count == undirected.number_of_edges()
             assert g.edge_count == digraph.number_of_edges()
-            neighbours = csr_rows(g.indptr, g.indices)
+            neighbours = _csr_rows(g.indptr, g.indices)
             assert [[ids_[j] for j in nbrs] for nbrs in neighbours] == [
                 sorted(undirected[u]) for u in ids_
             ]
@@ -455,6 +455,6 @@ class TestIndex:
                                    {"id": 9, "name": "c"}],
                             edges=[[big, 3], [3, big], [9, 3], [9, 3], [9, 9]]))
         assert g.ids == (3, 9, big)
-        assert csr_rows(g.indptr, g.indices) == [[1, 2], [0], [0]]
+        assert _csr_rows(g.indptr, g.indices) == [[1, 2], [0], [0]]
         assert g.dyads.tolist() == [2, 3, 1, 3]
         assert g.indptr.tolist() == [0, 2, 3, 4]
